@@ -28,7 +28,7 @@
 //	                      [-machines 2,4,8] [-technique grip,post,...]
 //	                      [-parallel N] [-timeout 30s] [-maxunwind 24]
 //	                      [-minimize] [-corpus testdata/corpus]
-//	                      [-artifacts DIR] [-chaos] [-chaos-seed 1]
+//	                      [-artifacts DIR] [-chaos]
 //
 // Exit status 0 means every judged loop passed (explained chaos faults
 // aside); 1 means unexplained failures; 2 means a setup or
@@ -68,7 +68,6 @@ func run() int {
 		corpus    = flag.String("corpus", "", "write minimized reproducers into this corpus directory")
 		artifacts = flag.String("artifacts", "", "write pre/post-minimization loops and error text here")
 		chaos     = flag.Bool("chaos", false, "inject backend panics and compute errors during the sweep")
-		chaosSeed = flag.Int64("chaos-seed", 1, "seed of the chaos fault plan")
 	)
 	flag.Parse()
 
@@ -107,10 +106,9 @@ func run() int {
 		},
 	}
 	if *chaos {
-		// Panics and compute errors only: injected delays would turn
-		// into timeout findings, and disk faults need a cache the fuzz
-		// path deliberately runs without.
-		plan := faults.NewPlan(*chaosSeed,
+		// Panics and compute errors only: disk faults need a cache the
+		// fuzz path deliberately runs without.
+		plan := faults.NewPlan(
 			faults.Rule{Site: faults.BatchCompute, Every: 7, Panic: "fuzz chaos schedule"},
 			faults.Rule{Site: faults.BatchCompute, Every: 11, Err: harness.ErrInjected},
 		)

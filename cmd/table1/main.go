@@ -17,17 +17,16 @@
 // is written through to disk, and a later process serves it from there
 // — a warm rerun schedules nothing. -cache-clear wipes that tier
 // before running (refusing directories not shaped like a store); cache
-// statistics — hits, misses, quarantined panics, disk footprint and
-// health (write/read errors, retries, degraded operations, breaker
-// state) — print to stderr at exit.
+// statistics — hits, misses, quarantined panics, disk footprint,
+// rejected entries and write/read errors — print to stderr at exit.
 //
-// -chaos runs the matrix under a seeded fault schedule (injected
-// backend panics, compute errors, torn and failing disk writes,
-// failing reads, random cancellations) and verifies the engine's
-// fault-tolerance contract: surviving cells are exact, failures are
-// isolated and recompute clean afterwards, and the disk tier's circuit
-// breaker trips and recovers. With -bench-out it writes the surviving
-// cells only, for benchdiff against the fault-free baseline.
+// -chaos runs the matrix under a fault schedule (injected backend
+// panics, compute errors, torn and failing disk writes, failing reads,
+// and cancellations of a seeded subset of cells) and verifies the
+// engine's fault-tolerance contract: surviving cells are exact, and
+// failures are isolated and recompute clean afterwards. With
+// -bench-out it writes the surviving cells only, for benchdiff against
+// the fault-free baseline.
 //
 // Usage:
 //
@@ -88,10 +87,10 @@ func run() int {
 	cacheClear := flag.Bool("cache-clear", false, "wipe the disk cache tier before running (requires -cache-dir)")
 	timeout := flag.Duration("timeout", 0, "per-cell timeout (0 = none)")
 	chaos := flag.Bool("chaos", false,
-		"run the matrix under the seeded chaos fault schedule (injected panics, compute\n"+
+		"run the matrix under the chaos fault schedule (injected panics, compute\n"+
 			"errors, torn/failing disk writes, failing reads, random cancellations); surviving\n"+
 			"cells must stay bit-identical, failures are rerun clean afterwards")
-	chaosSeed := flag.Int64("chaos-seed", 42, "seed for the chaos fault schedule (with -chaos)")
+	chaosSeed := flag.Int64("chaos-seed", 42, "seed for the chaos run's cancellation subset (with -chaos)")
 	benchOut := flag.String("bench-out", "", "write a JSON bench report (per-cell wall time + speedups) to this file\n(with -chaos: surviving cells only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -312,7 +311,8 @@ func run() int {
 
 // printCacheStats reports the tiered cache's traffic at exit: where
 // hits came from, how much was computed, and — when a disk tier is
-// attached — what the persistent tier now holds and how healthy it is.
+// attached — what the persistent tier now holds and which of its
+// operations failed.
 func printCacheStats(st batch.CacheStats, diskAttached bool) {
 	fmt.Fprintf(os.Stderr, "cache: %d memory hits, %d disk hits, %d misses",
 		st.MemoryHits, st.DiskHits, st.Misses)
@@ -330,25 +330,16 @@ func printCacheStats(st batch.CacheStats, diskAttached bool) {
 		if st.Disk.ReadErrors > 0 {
 			fmt.Fprintf(os.Stderr, ", %d read errors", st.Disk.ReadErrors)
 		}
-		if st.Disk.Retries > 0 {
-			fmt.Fprintf(os.Stderr, ", %d retries", st.Disk.Retries)
-		}
-		if st.Disk.Degraded > 0 {
-			fmt.Fprintf(os.Stderr, ", %d degraded ops", st.Disk.Degraded)
-		}
-		if st.Disk.BreakerTrips > 0 || st.Disk.Breaker != "closed" {
-			fmt.Fprintf(os.Stderr, ", breaker %s (%d trips)", st.Disk.Breaker, st.Disk.BreakerTrips)
-		}
 	}
 	fmt.Fprintln(os.Stderr)
 }
 
-// runChaos is the -chaos mode: the matrix under the standard seeded
-// fault schedule, reported in terms of the fault-tolerance contract —
-// survivors exact, failures isolated and recomputable, breaker tripped
-// and recovered. The bench report (when requested) holds survivors
-// only, so benchdiff compares them against the fault-free baseline
-// without treating the injected failures as regressions.
+// runChaos is the -chaos mode: the matrix under the standard fault
+// schedule, reported in terms of the fault-tolerance contract —
+// survivors exact, failures isolated and recomputable. The bench report
+// (when requested) holds survivors only, so benchdiff compares them
+// against the fault-free baseline without treating the injected
+// failures as regressions.
 func runChaos(kernels []*livermore.Kernel, fus []int, techniques []string, seed int64, parallel int, timeout time.Duration, cacheDir, benchOut string) int {
 	opts := harness.DefaultChaos(seed)
 	opts.Parallelism = parallel
@@ -388,14 +379,9 @@ func runChaos(kernels []*livermore.Kernel, fus []int, techniques []string, seed 
 		fmt.Fprintf(os.Stderr, "wrote %s (%d surviving cells, %.1fs wall)\n", benchOut, len(survivors), elapsed.Seconds())
 	}
 
-	// The contract, enforced: every failure recovers, and an attached
-	// disk tier ends with its breaker closed.
+	// The contract, enforced: every failure recovers.
 	if recovered != len(rep.Recovered) {
 		fmt.Fprintln(os.Stderr, "chaos: some failed cells did not recover")
-		return 1
-	}
-	if rep.Disk != nil && rep.Cache.Disk.Breaker != "closed" {
-		fmt.Fprintf(os.Stderr, "chaos: disk breaker ended %s, want closed\n", rep.Cache.Disk.Breaker)
 		return 1
 	}
 	return 0

@@ -1,8 +1,8 @@
 // Package faults is a small injectable failure-point registry: named
-// sites in production code call Check/CheckCtx/Mutate, which are no-ops
-// until a test or chaos harness enables a Plan — a seeded deterministic
-// schedule of fault rules (error on the Nth hit, every-Nth, per-hit
-// probability, latency injection, panics, payload corruption).
+// sites in production code call Check/Mutate, which are no-ops until a
+// test or chaos harness enables a Plan — a deterministic schedule of
+// fault rules (error or panic on the Nth or every Nth hit, payload
+// corruption).
 //
 // Cost when disabled: one atomic pointer load per site hit — no
 // allocation, no lock — so sites can sit on paths that care about
@@ -16,12 +16,9 @@
 package faults
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Site names one instrumented failure point.
@@ -43,9 +40,8 @@ const (
 	BatchCompute Site = "batch.compute"
 )
 
-// Rule is one injected failure. A rule fires on a hit when ANY enabled
-// trigger selects it (and Limit is not exhausted); effects then apply
-// in order: Delay, Panic, Corrupt/Err.
+// Rule is one injected failure. A rule fires on a hit when either
+// trigger selects it; its effect is then Panic, else Corrupt/Err.
 type Rule struct {
 	Site Site
 
@@ -53,13 +49,8 @@ type Rule struct {
 	Nth int
 	// Every fires on every Every-th hit at the site. 0 disables.
 	Every int
-	// Prob fires with this probability per hit, drawn from the plan's
-	// seeded generator. 0 disables.
-	Prob float64
-	// Limit caps the rule's total fires; 0 means unlimited.
-	Limit int
 
-	// Err is returned by Check/CheckCtx/Mutate when the rule fires.
+	// Err is returned by Check/Mutate when the rule fires.
 	Err error
 	// Panic, when non-empty, makes the hook panic instead of returning —
 	// the injected value identifies itself as a fault.
@@ -67,40 +58,28 @@ type Rule struct {
 	// Corrupt, at data sites (Mutate), mutilates the payload instead of
 	// failing the operation: the write "succeeds" torn.
 	Corrupt bool
-	// Delay sleeps before the effect (pure latency when no other effect
-	// is set). CheckCtx waits ctx-aware and returns ctx.Err() early.
-	Delay time.Duration
 }
 
-type ruleState struct {
-	Rule
-	fires int
-}
-
-// Plan is one seeded, deterministic fault schedule. Trigger decisions
-// (hit counting, probability draws) derive from the seed; under
-// concurrent hits the per-hit ordering follows the goroutine
-// interleaving, so strict replay needs single-threaded traffic or
-// Nth/Every triggers.
+// Plan is one deterministic fault schedule: every trigger is a
+// function of the site's hit count. Under concurrent hits, which
+// caller receives the Nth hit follows the goroutine interleaving; the
+// number of fires does not.
 type Plan struct {
 	mu     sync.Mutex
-	rng    *rand.Rand
-	bySite map[Site][]*ruleState
+	bySite map[Site][]Rule
 	hits   map[Site]uint64
 	fires  map[Site]uint64
 }
 
-// NewPlan builds a plan from the rules, with all probabilistic triggers
-// drawn from a generator seeded by seed.
-func NewPlan(seed int64, rules ...Rule) *Plan {
+// NewPlan builds a plan from the rules.
+func NewPlan(rules ...Rule) *Plan {
 	p := &Plan{
-		rng:    rand.New(rand.NewSource(seed)),
-		bySite: make(map[Site][]*ruleState),
+		bySite: make(map[Site][]Rule),
 		hits:   make(map[Site]uint64),
 		fires:  make(map[Site]uint64),
 	}
 	for _, r := range rules {
-		p.bySite[r.Site] = append(p.bySite[r.Site], &ruleState{Rule: r})
+		p.bySite[r.Site] = append(p.bySite[r.Site], r)
 	}
 	return p
 }
@@ -156,20 +135,7 @@ func Check(site Site) error {
 	if p == nil {
 		return nil
 	}
-	_, err := p.apply(context.Background(), site, nil)
-	return err
-}
-
-// CheckCtx is Check with ctx-aware latency injection: a Delay rule
-// waits on a timer or ctx.Done(), whichever comes first, returning
-// ctx.Err() when cancellation wins — so injected stalls cooperate with
-// per-job timeouts instead of parking workers past them.
-func CheckCtx(ctx context.Context, site Site) error {
-	p := active.Load()
-	if p == nil {
-		return nil
-	}
-	_, err := p.apply(ctx, site, nil)
+	_, err := p.apply(site, nil)
 	return err
 }
 
@@ -181,42 +147,26 @@ func Mutate(site Site, data []byte) ([]byte, error) {
 	if p == nil {
 		return data, nil
 	}
-	return p.apply(context.Background(), site, data)
+	return p.apply(site, data)
 }
 
 // apply counts the hit, selects at most one firing rule, and applies
 // its effects.
-func (p *Plan) apply(ctx context.Context, site Site, data []byte) ([]byte, error) {
+func (p *Plan) apply(site Site, data []byte) ([]byte, error) {
 	p.mu.Lock()
 	p.hits[site]++
 	n := p.hits[site]
 	var fired *Rule
-	for _, rs := range p.bySite[site] {
-		if rs.Limit > 0 && rs.fires >= rs.Limit {
-			continue
-		}
-		hit := (rs.Nth > 0 && n == uint64(rs.Nth)) ||
-			(rs.Every > 0 && n%uint64(rs.Every) == 0) ||
-			(rs.Prob > 0 && p.rng.Float64() < rs.Prob)
-		if hit {
-			rs.fires++
+	for _, r := range p.bySite[site] {
+		if (r.Nth > 0 && n == uint64(r.Nth)) || (r.Every > 0 && n%uint64(r.Every) == 0) {
 			p.fires[site]++
-			fired = &rs.Rule
+			fired = &r
 			break
 		}
 	}
 	p.mu.Unlock()
 	if fired == nil {
 		return data, nil
-	}
-	if fired.Delay > 0 {
-		t := time.NewTimer(fired.Delay)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return data, ctx.Err()
-		}
 	}
 	if fired.Panic != "" {
 		panic(fmt.Sprintf("faults: injected panic at %s: %s", site, fired.Panic))

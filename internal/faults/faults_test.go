@@ -1,11 +1,9 @@
 package faults_test
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faults"
 )
@@ -30,7 +28,7 @@ func TestDisabledHooksAreNoOps(t *testing.T) {
 }
 
 func TestNthAndLimitTriggers(t *testing.T) {
-	p := faults.NewPlan(1,
+	p := faults.NewPlan(
 		faults.Rule{Site: site, Nth: 3, Err: errInjected},
 	)
 	faults.Enable(p)
@@ -46,52 +44,34 @@ func TestNthAndLimitTriggers(t *testing.T) {
 	}
 }
 
+// TestEveryWithLimit: an Every rule fires on each multiple of its
+// period for as long as the plan is enabled; Disable is the only cap,
+// and it is the one the chaos harness's recovery pass relies on.
 func TestEveryWithLimit(t *testing.T) {
-	p := faults.NewPlan(1,
-		faults.Rule{Site: site, Every: 2, Limit: 2, Err: errInjected},
+	p := faults.NewPlan(
+		faults.Rule{Site: site, Every: 2, Err: errInjected},
 	)
 	faults.Enable(p)
 	t.Cleanup(faults.Disable)
 	var fired []int
 	for i := 1; i <= 8; i++ {
+		if i == 7 {
+			faults.Disable()
+		}
 		if faults.Check(site) != nil {
 			fired = append(fired, i)
 		}
 	}
-	if len(fired) != 2 || fired[0] != 2 || fired[1] != 4 {
-		t.Errorf("fired on hits %v, want [2 4] (every 2nd, capped at 2)", fired)
+	if len(fired) != 3 || fired[0] != 2 || fired[1] != 4 || fired[2] != 6 {
+		t.Errorf("fired on hits %v, want [2 4 6] (every 2nd, until disabled)", fired)
 	}
-}
-
-// TestProbIsSeededDeterministic runs the same probabilistic plan twice
-// with one seed: the fire pattern must be identical — the point of
-// seeded plans is replayable chaos.
-func TestProbIsSeededDeterministic(t *testing.T) {
-	pattern := func() []bool {
-		p := faults.NewPlan(42, faults.Rule{Site: site, Prob: 0.3, Err: errInjected})
-		faults.Enable(p)
-		defer faults.Disable()
-		var fires []bool
-		for i := 0; i < 64; i++ {
-			fires = append(fires, faults.Check(site) != nil)
-		}
-		return fires
-	}
-	a, b := pattern(), pattern()
-	some := false
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("hit %d: run A fired=%v, run B fired=%v — not deterministic", i, a[i], b[i])
-		}
-		some = some || a[i]
-	}
-	if !some {
-		t.Error("p=0.3 over 64 hits never fired")
+	if p.Hits(site) != 6 || p.Fires(site) != 3 || p.TotalFires() != 3 {
+		t.Errorf("hits=%d fires=%d total=%d, want 6/3/3", p.Hits(site), p.Fires(site), p.TotalFires())
 	}
 }
 
 func TestCorruptMutatesPayload(t *testing.T) {
-	p := faults.NewPlan(1, faults.Rule{Site: site, Nth: 1, Corrupt: true})
+	p := faults.NewPlan(faults.Rule{Site: site, Nth: 1, Corrupt: true})
 	faults.Enable(p)
 	t.Cleanup(faults.Disable)
 	data := []byte(`{"schema":1,"key":"k","metrics":{}}`)
@@ -110,7 +90,7 @@ func TestCorruptMutatesPayload(t *testing.T) {
 }
 
 func TestPanicRuleIdentifiesItself(t *testing.T) {
-	p := faults.NewPlan(1, faults.Rule{Site: site, Nth: 1, Panic: "poisoned cell"})
+	p := faults.NewPlan(faults.Rule{Site: site, Nth: 1, Panic: "poisoned cell"})
 	faults.Enable(p)
 	t.Cleanup(faults.Disable)
 	defer func() {
@@ -123,20 +103,4 @@ func TestPanicRuleIdentifiesItself(t *testing.T) {
 		}
 	}()
 	faults.Check(site)
-}
-
-func TestCheckCtxDelayObservesCancellation(t *testing.T) {
-	p := faults.NewPlan(1, faults.Rule{Site: site, Nth: 1, Delay: time.Hour})
-	faults.Enable(p)
-	t.Cleanup(faults.Disable)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err := faults.CheckCtx(ctx, site)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("stalled CheckCtx returned %v, want DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("CheckCtx blocked %v past its context", elapsed)
-	}
 }

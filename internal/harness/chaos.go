@@ -14,21 +14,21 @@ import (
 	"repro/internal/sched/store"
 )
 
-// Injected chaos errors. ErrChaosCompute is transient-looking (a plain
-// error on the compute path); disk writes inject ENOSPC so the store's
-// no-point-retrying classification is exercised too.
+// Injected chaos errors. ErrChaosCompute is a plain error on the
+// compute path; disk writes inject ENOSPC, the errno a full device
+// reports, and disk reads inject ErrChaosIO.
 var (
 	ErrChaosCompute = errors.New("chaos: injected compute failure")
 	ErrChaosIO      = errors.New("chaos: injected disk I/O failure")
 )
 
-// ChaosOptions seed one chaos run: a deterministic fault schedule over
-// the batch compute path and the disk tier, plus a cancellation storm.
-// The zero value injects nothing; DefaultChaos returns the standard
-// schedule the CLI and the chaos suite run.
+// ChaosOptions describe one chaos run: a deterministic fault schedule
+// over the batch compute path and the disk tier, plus a cancellation
+// storm. The zero value injects nothing; DefaultChaos returns the
+// standard schedule the CLI and the chaos suite run.
 type ChaosOptions struct {
-	// Seed drives every random decision (fault plan, cancellation
-	// subset, retry jitter), so a run is replayable by seed.
+	// Seed picks the cancellation storm's job subset, the run's only
+	// random decision; the fault plan fires by hit count.
 	Seed int64
 	// Parallelism and Timeout are the main pass's batch options.
 	Parallelism int
@@ -39,14 +39,13 @@ type ChaosOptions struct {
 	PanicEvery int
 	FailEvery  int
 
-	// WriteFailEvery injects an ENOSPC-style failure on every Nth disk
-	// write, capped at WriteFailLimit fires so the breaker can recover;
+	// WriteFailEvery injects an ENOSPC failure on every Nth disk write;
 	// CorruptEvery tears every Nth disk write (the entry is written
 	// corrupt and must be rejected on read); ReadFailEvery injects an
-	// I/O error on every Nth disk read, capped at ReadFailLimit.
-	WriteFailEvery, WriteFailLimit int
-	CorruptEvery                   int
-	ReadFailEvery, ReadFailLimit   int
+	// I/O error on every Nth disk read.
+	WriteFailEvery int
+	CorruptEvery   int
+	ReadFailEvery  int
 
 	// CancelFraction of the jobs (seeded choice) run in a preliminary
 	// pass under CancelTimeout, so a slice of the table is genuinely
@@ -54,13 +53,8 @@ type ChaosOptions struct {
 	CancelFraction float64
 	CancelTimeout  time.Duration
 
-	// DiskDir, when non-empty, attaches a persistent tier rooted there,
-	// opened with Disk (zero value = aggressive chaos breaker: trips on
-	// a single failure, 100ms cooldown, jitter seeded by Seed — periodic
-	// faults interleave with successes, so a consecutive-failure
-	// threshold above 1 would never fire).
+	// DiskDir, when non-empty, attaches a persistent tier rooted there.
 	DiskDir string
-	Disk    store.DiskOptions
 }
 
 // DefaultChaos is the standard fault schedule: every failure mode on,
@@ -72,18 +66,16 @@ func DefaultChaos(seed int64) ChaosOptions {
 		PanicEvery:     7,
 		FailEvery:      11,
 		WriteFailEvery: 3,
-		WriteFailLimit: 5,
 		CorruptEvery:   5,
 		ReadFailEvery:  6,
-		ReadFailLimit:  4,
 		CancelFraction: 0.2,
 		CancelTimeout:  3 * time.Millisecond,
 	}
 }
 
-// plan compiles the options into a seeded fault plan. Rule order
-// matters at shared sites: when an ENOSPC period and a corruption
-// period coincide on one write, the failure wins.
+// plan compiles the options into a fault plan. Rule order matters at
+// shared sites: when an ENOSPC period and a corruption period coincide
+// on one write, the failure wins.
 func (o ChaosOptions) plan() *faults.Plan {
 	var rules []faults.Rule
 	if o.PanicEvery > 0 {
@@ -93,15 +85,15 @@ func (o ChaosOptions) plan() *faults.Plan {
 		rules = append(rules, faults.Rule{Site: faults.BatchCompute, Every: o.FailEvery, Err: ErrChaosCompute})
 	}
 	if o.WriteFailEvery > 0 {
-		rules = append(rules, faults.Rule{Site: faults.DiskWrite, Every: o.WriteFailEvery, Limit: o.WriteFailLimit, Err: syscall.ENOSPC})
+		rules = append(rules, faults.Rule{Site: faults.DiskWrite, Every: o.WriteFailEvery, Err: syscall.ENOSPC})
 	}
 	if o.CorruptEvery > 0 {
 		rules = append(rules, faults.Rule{Site: faults.DiskWrite, Every: o.CorruptEvery, Corrupt: true})
 	}
 	if o.ReadFailEvery > 0 {
-		rules = append(rules, faults.Rule{Site: faults.DiskRead, Every: o.ReadFailEvery, Limit: o.ReadFailLimit, Err: ErrChaosIO})
+		rules = append(rules, faults.Rule{Site: faults.DiskRead, Every: o.ReadFailEvery, Err: ErrChaosIO})
 	}
-	return faults.NewPlan(o.Seed, rules...)
+	return faults.NewPlan(rules...)
 }
 
 // ChaosReport is the outcome of one chaos run.
@@ -117,7 +109,7 @@ type ChaosReport struct {
 	// because errors are never cached.
 	Recovered []batch.Outcome
 	// Stats summarizes the main pass; Cache is the tiered cache's
-	// traffic and per-tier health after all passes.
+	// traffic and per-tier counters after all passes.
 	Stats batch.Stats
 	Cache batch.CacheStats
 	// Plan exposes per-site hit/fire counters for assertions.
@@ -148,8 +140,7 @@ func (r *ChaosReport) Survivors() []batch.Outcome {
 //     disk writes, and failing disk reads injected — each poisoned
 //     cell fails alone, everything else must compute exactly;
 //  3. a recovery pass with faults disabled: the failures rerun clean
-//     (errors are never cached), and — when a disk tier is attached —
-//     the breaker's half-open probes reclose the circuit.
+//     (errors are never cached) and write through to the disk tier.
 //
 // The fault plan is enabled process-wide for the duration of passes 1
 // and 2; do not run concurrent fault-free harness traffic around a
@@ -169,11 +160,7 @@ func ChaosTable(ctx context.Context, kernels []*livermore.Kernel, fus []int, tec
 
 	cache := batch.NewCache(8192)
 	if o.DiskDir != "" {
-		dopts := o.Disk
-		if dopts == (store.DiskOptions{}) {
-			dopts = store.DiskOptions{BreakerThreshold: 1, BreakerCooldown: 100 * time.Millisecond, Seed: o.Seed}
-		}
-		disk, err := store.OpenDiskOptions(o.DiskDir, dopts)
+		disk, err := store.OpenDisk(o.DiskDir)
 		if err != nil {
 			return nil, err
 		}
@@ -211,18 +198,8 @@ func ChaosTable(ctx context.Context, kernels []*livermore.Kernel, fus []int, tec
 		return rep, err
 	}
 
-	// Pass 3: recovery. Faults off; give the breaker its cooldown so
-	// the rerun's writes arrive as half-open probes and can reclose it.
+	// Pass 3: recovery, with faults off.
 	faults.Disable()
-	if rep.Disk != nil {
-		if st := rep.Disk.Stats(); st.Breaker != "closed" {
-			d := o.Disk.BreakerCooldown
-			if d <= 0 {
-				d = 100 * time.Millisecond
-			}
-			time.Sleep(d)
-		}
-	}
 	var failed []batch.Job
 	for _, out := range outs {
 		if out.Err != nil {

@@ -94,7 +94,7 @@ func TestCheckLoopClassifiesInjectedFaults(t *testing.T) {
 	spec := fuzzgen.SweepSpec(5)
 	opts := FuzzOptions{Machines: []int{4}, Techniques: []string{"grip", "post"}}
 
-	faults.Enable(faults.NewPlan(1,
+	faults.Enable(faults.NewPlan(
 		faults.Rule{Site: faults.BatchCompute, Every: 2, Panic: "fuzz chaos schedule"},
 		faults.Rule{Site: faults.BatchCompute, Every: 1, Err: ErrInjected},
 	))
@@ -151,7 +151,7 @@ func TestExplainInjected(t *testing.T) {
 func TestMinimizeFailureShrinks(t *testing.T) {
 	testutil.LeakCheck(t)
 	spec := fuzzgen.SweepSpec(9)
-	faults.Enable(faults.NewPlan(1,
+	faults.Enable(faults.NewPlan(
 		faults.Rule{Site: faults.BatchCompute, Every: 1, Err: ErrInjected}))
 	defer faults.Disable()
 

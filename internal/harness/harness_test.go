@@ -2,6 +2,10 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,6 +82,42 @@ func TestTable1ShapeProperties(t *testing.T) {
 	csv := tbl.CSV()
 	if !strings.Contains(csv, "LL3,4,grip,") || !strings.Contains(csv, "LL3,4,post,") {
 		t.Errorf("CSV missing expected rows")
+	}
+}
+
+// table1Digest pins sched.AlgorithmVersion to the schedules it names:
+// the SHA-256 of the version followed by the 84 paper-default Table 1
+// cells' Metrics, one JSON line each in job order.
+const table1Digest = "360b2848fdbc6ec1275ce973f798f0a2eb305aab84ffabd4bc1012f2d2764b1f"
+
+// TestAlgorithmVersionPinsTable1 fails whenever a paper-default cell's
+// Metrics change, until sched.AlgorithmVersion and table1Digest are
+// bumped together. The version joins every cache key, so the bump is
+// what keeps an existing -cache-dir from serving the old schedules.
+func TestAlgorithmVersionPinsTable1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full table in -short mode")
+	}
+	_, outs, err := RunTable1Ctx(context.Background(), livermore.All(), []int{2, 4, 8}, batch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != 84 {
+		t.Fatalf("Table 1 has %d cells, want 84", len(outs))
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "algorithm %d\n", sched.AlgorithmVersion)
+	for _, o := range outs {
+		line, err := json.Marshal(o.Result.Metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(append(line, '\n'))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != table1Digest {
+		t.Fatalf("Table 1 digest at algorithm version %d is %s, want %s.\n"+
+			"A schedule changed: bump sched.AlgorithmVersion and set table1Digest to the new digest.",
+			sched.AlgorithmVersion, got, table1Digest)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,12 +61,16 @@ func (j Job) Request() sched.Request {
 	return sched.Request{Spec: j.Spec, Machine: j.Machine, Config: j.Config, Want: j.Want}
 }
 
-// Key returns the job's canonical cache key: the technique joined with
-// the request fingerprint, which covers the loop, the machine, and the
-// configuration. Two jobs with equal keys produce bit-identical
-// results.
+// keyPrefix tags every cache key with sched.AlgorithmVersion, so a
+// persistent store never serves a result an older scheduler computed.
+var keyPrefix = "alg" + strconv.Itoa(sched.AlgorithmVersion) + "|"
+
+// Key returns the job's canonical cache key: the algorithm version and
+// the technique joined with the request fingerprint, which covers the
+// loop, the machine, and the configuration. Two jobs with equal keys
+// produce bit-identical results.
 func (j Job) Key() string {
-	return j.Technique + "|" + j.Request().Fingerprint()
+	return keyPrefix + j.Technique + "|" + j.Request().Fingerprint()
 }
 
 // Outcome is the result of one job. Outcomes are returned in job order
@@ -195,7 +200,7 @@ func runOne(ctx context.Context, j Job, opts Options, cut *atomic.Bool) Outcome 
 				res, err = nil, &sched.PanicError{Key: j.Key(), Value: v, Stack: debug.Stack()}
 			}
 		}()
-		if err := faults.CheckCtx(runCtx, faults.BatchCompute); err != nil {
+		if err := faults.Check(faults.BatchCompute); err != nil {
 			return nil, err
 		}
 		s, ok := sched.Lookup(j.Technique)

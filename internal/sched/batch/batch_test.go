@@ -185,6 +185,9 @@ func TestKeyDiscriminates(t *testing.T) {
 	if a.Key() == b.Key() || a.Key() == c.Key() || a.Key() == d.Key() {
 		t.Error("machine, technique, or spec did not change the cache key")
 	}
+	if !strings.HasPrefix(a.Key(), fmt.Sprintf("alg%d|", sched.AlgorithmVersion)) {
+		t.Errorf("key %q does not carry the algorithm version", a.Key())
+	}
 	e := a
 	e.Label = "display-only"
 	if a.Key() != e.Key() {

@@ -274,13 +274,13 @@ type CacheStats struct {
 	// recovered backend panic (*sched.PanicError) — poisoned cells that
 	// failed alone instead of taking the process down.
 	Quarantined uint64
-	// Disk carries the persistent tier's own counters, footprint, and
-	// breaker health; zero when no disk tier is attached.
+	// Disk carries the persistent tier's own counters (errors
+	// included) and footprint; zero when no disk tier is attached.
 	Disk store.Stats
 }
 
 // Stats returns the hit and miss counts since creation, plus the disk
-// tier's footprint and health when one is attached.
+// tier's counters and footprint when one is attached.
 func (c *Cache) Stats() CacheStats {
 	st := CacheStats{
 		MemoryHits:  c.memHits.Load(),

@@ -133,6 +133,14 @@ func (r Request) Fingerprint() string {
 // than misread.
 const MetricsVersion = 1
 
+// AlgorithmVersion identifies the schedules the registered backends
+// compute. It joins every batch cache key, so entries an older
+// scheduler persisted read as misses instead of being served as
+// current results. Bump it in the same change as anything that alters
+// any backend's Metrics; the golden digest in the harness tests pins
+// the pair and fails until both move together.
+const AlgorithmVersion = 1
+
 // Metrics is the normalized, serializable outcome every backend
 // reports: the numbers Table 1 and the CLI compare across techniques.
 // It is a plain comparable value — no pointers, no graphs — so caches

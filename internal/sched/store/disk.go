@@ -8,14 +8,12 @@ import (
 	"fmt"
 	"io/fs"
 	"log"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/sched"
@@ -33,53 +31,14 @@ type diskEntry struct {
 	Metrics sched.Metrics `json:"metrics"`
 }
 
-// DiskOptions tune the persistent tier's durability and fault
-// tolerance. The zero value is the historical behavior (no fsync) with
-// the default retry/breaker posture.
+// DiskOptions tune the persistent tier. The zero value writes without
+// fsync.
 type DiskOptions struct {
 	// Durable fsyncs the temp file before the rename and the shard
 	// directory after it, so a committed entry survives a crash or
 	// power cut. Command-line -cache-dir runs enable it (see
 	// harness.EnableDiskCache); tests hammering a temp dir may not.
 	Durable bool
-	// Retries is how many times a transient write failure is retried
-	// before counting as a failure; negative disables retries.
-	// 0 means the default (2).
-	Retries int
-	// RetryBackoff is the pause before the first retry, doubled each
-	// further retry with seeded jitter added. 0 means the default (2ms).
-	RetryBackoff time.Duration
-	// BreakerThreshold is the consecutive-failure run that trips the
-	// circuit breaker into degraded memory-only mode. 0 means the
-	// default (4).
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before
-	// half-open probes may test recovery. 0 means the default (2s).
-	BreakerCooldown time.Duration
-	// Seed seeds the retry jitter; 0 means seeded from the clock.
-	// Chaos runs pin it for replayability.
-	Seed int64
-}
-
-func (o DiskOptions) withDefaults() DiskOptions {
-	if o.Retries == 0 {
-		o.Retries = 2
-	} else if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 2 * time.Millisecond
-	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 4
-	}
-	if o.BreakerCooldown == 0 {
-		o.BreakerCooldown = 2 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = time.Now().UnixNano()
-	}
-	return o
 }
 
 // Disk is the persistent metrics tier: one JSON file per fingerprint
@@ -91,13 +50,11 @@ func (o DiskOptions) withDefaults() DiskOptions {
 // malformed JSON, schema-version drift, and fingerprint mismatches all
 // report a miss (counted in Stats.Rejected) and the caller recomputes.
 //
-// The tier has an explicit failure contract. Writes are retried a
-// bounded number of times with jittered backoff; a write that exhausts
-// its retries (or a real read I/O error) counts toward a circuit
-// breaker that trips the store into degraded memory-only mode — reads
-// and writes are shed, counted in Stats.Degraded, until the cooldown
-// elapses and half-open probes prove the device healthy again. Every
-// error class is logged once and counted; nothing is silently dropped.
+// The tier's failure contract is fall-through: a read I/O error is a
+// miss (counted in Stats.ReadErrors), and a failed write is dropped
+// after one attempt (counted in Stats.WriteErrors). Neither reaches
+// the caller, who can always recompute. Each error class is logged
+// once; nothing is silently dropped.
 //
 // Disk stores metrics only. Raw scheduled graphs are deliberately not
 // persisted: they are megabytes each, pointer-rich, and only
@@ -105,16 +62,11 @@ func (o DiskOptions) withDefaults() DiskOptions {
 type Disk struct {
 	dir  string
 	opts DiskOptions
-	brk  *breaker
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	logMu  sync.Mutex
 	logged map[string]bool
 
-	hits, misses, rejected, writeErrs atomic.Uint64
-	readErrs, retries, degraded       atomic.Uint64
+	hits, misses, rejected, writeErrs, readErrs atomic.Uint64
 }
 
 // OpenDisk opens (creating if needed) the on-disk store rooted at dir,
@@ -124,7 +76,7 @@ func OpenDisk(dir string) (*Disk, error) {
 }
 
 // OpenDiskOptions opens the on-disk store rooted at dir with explicit
-// durability and fault-tolerance options.
+// options.
 func OpenDiskOptions(dir string, opts DiskOptions) (*Disk, error) {
 	if err := faults.Check(faults.DiskOpen); err != nil {
 		return nil, fmt.Errorf("store: open disk tier: %w", err)
@@ -132,14 +84,7 @@ func OpenDiskOptions(dir string, opts DiskOptions) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open disk tier: %w", err)
 	}
-	opts = opts.withDefaults()
-	return &Disk{
-		dir:    dir,
-		opts:   opts,
-		brk:    newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
-		rng:    rand.New(rand.NewSource(opts.Seed)),
-		logged: make(map[string]bool),
-	}, nil
+	return &Disk{dir: dir, opts: opts, logged: make(map[string]bool)}, nil
 }
 
 // Dir returns the store's root directory.
@@ -156,14 +101,7 @@ func (d *Disk) path(key string) string {
 
 // Get reads and verifies the entry under key. Any entry that cannot be
 // read, parsed, or proven to belong to (key, current schema) is a miss.
-// While the breaker is open the disk is not touched at all — degraded
-// memory-only mode — and the lookup is a (counted) miss.
 func (d *Disk) Get(key string) (sched.Metrics, bool) {
-	if !d.brk.allowRead() {
-		d.degraded.Add(1)
-		d.misses.Add(1)
-		return sched.Metrics{}, false
-	}
 	data, err := os.ReadFile(d.path(key))
 	if ferr := faults.Check(faults.DiskRead); ferr != nil && err == nil {
 		err = ferr
@@ -172,75 +110,33 @@ func (d *Disk) Get(key string) (sched.Metrics, bool) {
 		d.misses.Add(1)
 		// Not-exist is a plain miss; anything else (permission, I/O) is
 		// a device failure — still a miss for the caller (the compute
-		// path is always available), but counted and fed to the breaker.
+		// path is always available), but counted and logged.
 		if !errors.Is(err, fs.ErrNotExist) {
 			d.readErrs.Add(1)
 			d.logOnce("read", err)
-			d.brk.failure()
 		}
 		return sched.Metrics{}, false
 	}
 	var e diskEntry
 	if err := json.Unmarshal(data, &e); err != nil ||
 		e.Schema != sched.MetricsVersion || e.Key != key {
-		// Untrusted content, not a sick device: neutral for the breaker.
 		d.rejected.Add(1)
 		d.misses.Add(1)
 		return sched.Metrics{}, false
 	}
 	d.hits.Add(1)
-	d.brk.success()
 	return e.Metrics, true
 }
 
-// Put persists metrics under key with an atomic rename, retrying
-// transient failures with jittered backoff. Failures are recorded in
-// Stats (and logged once per error class), never returned: the disk
-// tier is an accelerator, and a missing entry merely costs a recompute
-// next process. A breaker that has tripped sheds the write entirely
-// (degraded memory-only mode) until a half-open probe succeeds.
+// Put persists metrics under key with an atomic rename, in one
+// attempt. A failure is recorded in Stats (and logged once per error
+// class), never returned: the disk tier is an accelerator, and a
+// missing entry merely costs a recompute next process.
 func (d *Disk) Put(key string, m sched.Metrics) {
-	if !d.brk.allowWrite() {
-		d.degraded.Add(1)
-		return
-	}
-	if err := d.putRetry(key, m); err != nil {
+	if err := d.put(key, m); err != nil {
 		d.writeErrs.Add(1)
 		d.logOnce("write", err)
-		d.brk.failure()
-		return
 	}
-	d.brk.success()
-}
-
-// putRetry runs the bounded-retry loop around put. Errors that retrying
-// cannot fix (no space, no permission) fail immediately.
-func (d *Disk) putRetry(key string, m sched.Metrics) error {
-	backoff := d.opts.RetryBackoff
-	var err error
-	for attempt := 0; ; attempt++ {
-		if err = d.put(key, m); err == nil || !transient(err) || attempt >= d.opts.Retries {
-			return err
-		}
-		d.retries.Add(1)
-		time.Sleep(backoff + d.jitter(backoff))
-		backoff *= 2
-	}
-}
-
-// transient reports whether retrying the write could plausibly help.
-func transient(err error) bool {
-	return !errors.Is(err, syscall.ENOSPC) && !errors.Is(err, fs.ErrPermission)
-}
-
-// jitter draws a seeded random duration in [0, max).
-func (d *Disk) jitter(max time.Duration) time.Duration {
-	if max <= 0 {
-		return 0
-	}
-	d.rngMu.Lock()
-	defer d.rngMu.Unlock()
-	return time.Duration(d.rng.Int63n(int64(max)))
 }
 
 func (d *Disk) put(key string, m sched.Metrics) error {
@@ -256,8 +152,8 @@ func (d *Disk) put(key string, m sched.Metrics) error {
 	if err != nil {
 		return err
 	}
-	// The injectable write site: rules here fail the write (feeding the
-	// retry/breaker path) or mutilate the payload — a torn write that
+	// The injectable write site: rules here fail the write or mutilate
+	// the payload — a torn write that
 	// "succeeds" and must be rejected by read-side verification.
 	data, err = faults.Mutate(faults.DiskWrite, append(data, '\n'))
 	if err != nil {
@@ -408,7 +304,7 @@ func CheckStoreShape(dir string) error {
 // Stats reports the counters plus the store's current footprint
 // (entry files and their total bytes), computed by walking the
 // directory — cheap at the scales a metrics tier reaches, and always
-// true to what is actually on disk — and the breaker's health.
+// true to what is actually on disk.
 func (d *Disk) Stats() Stats {
 	st := Stats{
 		Hits:        d.hits.Load(),
@@ -416,10 +312,7 @@ func (d *Disk) Stats() Stats {
 		Rejected:    d.rejected.Load(),
 		WriteErrors: d.writeErrs.Load(),
 		ReadErrors:  d.readErrs.Load(),
-		Retries:     d.retries.Load(),
-		Degraded:    d.degraded.Load(),
 	}
-	st.Breaker, st.BreakerTrips = d.brk.snapshot()
 	filepath.WalkDir(d.dir, func(path string, ent fs.DirEntry, err error) error {
 		if err != nil || ent.IsDir() || !strings.HasSuffix(ent.Name(), ".json") {
 			return nil

@@ -7,148 +7,93 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/sched/store"
 	"repro/internal/testutil"
 )
 
-// fastDisk opens a store with test-speed retry/breaker settings.
-func fastDisk(t *testing.T, dir string, opts store.DiskOptions) *store.Disk {
+func openDisk(t *testing.T, opts store.DiskOptions) *store.Disk {
 	t.Helper()
-	if opts.RetryBackoff == 0 {
-		opts.RetryBackoff = time.Millisecond
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 7
-	}
-	d, err := store.OpenDiskOptions(dir, opts)
+	d, err := store.OpenDiskOptions(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
-// TestPutRetriesTransientFault: one injected transient write error is
-// absorbed by the retry loop — the entry lands, nothing counts as a
-// write failure, and the breaker never moves.
-func TestPutRetriesTransientFault(t *testing.T) {
+// TestDiskFaultsFallThrough pins the disk tier's failure contract: a
+// fault costs one miss or one dropped write, is counted in Stats, never
+// reaches the caller, and does not outlive itself. Each case Puts a key
+// (faulted when the rule is at the write site), Gets it back as a miss,
+// and then checks that the next Put and Get round-trip cleanly.
+func TestDiskFaultsFallThrough(t *testing.T) {
 	testutil.LeakCheck(t)
-	d := fastDisk(t, t.TempDir(), store.DiskOptions{Retries: 2})
-	faults.Enable(faults.NewPlan(1, faults.Rule{
-		Site: faults.DiskWrite, Nth: 1, Err: errors.New("injected transient io")}))
-	t.Cleanup(faults.Disable)
+	cases := []struct {
+		name string
+		rule faults.Rule
+		// absent skips the first Put, so the Get is a plain not-exist
+		// miss.
+		absent bool
+		want   store.Stats
+	}{
+		{
+			name: "write-error",
+			rule: faults.Rule{Site: faults.DiskWrite, Nth: 1, Err: errors.New("injected write io")},
+			want: store.Stats{Misses: 1, WriteErrors: 1},
+		},
+		{
+			// ENOSPC gets no special treatment: one attempt, counted.
+			name: "write-enospc",
+			rule: faults.Rule{Site: faults.DiskWrite, Nth: 1, Err: syscall.ENOSPC},
+			want: store.Stats{Misses: 1, WriteErrors: 1},
+		},
+		{
+			name: "read-error",
+			rule: faults.Rule{Site: faults.DiskRead, Nth: 1, Err: errors.New("injected read io")},
+			want: store.Stats{Misses: 1, ReadErrors: 1, Entries: 1},
+		},
+		{
+			name:   "not-exist",
+			absent: true,
+			want:   store.Stats{Misses: 1},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := openDisk(t, store.DiskOptions{})
+			faults.Enable(faults.NewPlan(tc.rule))
+			t.Cleanup(faults.Disable)
 
-	d.Put("k", metrics(1))
-	if _, ok := d.Get("k"); !ok {
-		t.Fatal("entry missing after a retried write")
-	}
-	st := d.Stats()
-	if st.Retries < 1 {
-		t.Errorf("Retries = %d, want >= 1", st.Retries)
-	}
-	if st.WriteErrors != 0 {
-		t.Errorf("WriteErrors = %d after a recovered write", st.WriteErrors)
-	}
-	if st.Breaker != "closed" || st.BreakerTrips != 0 {
-		t.Errorf("breaker %q/%d trips after a recovered write", st.Breaker, st.BreakerTrips)
+			if !tc.absent {
+				d.Put("k", metrics(1))
+			}
+			if _, ok := d.Get("k"); ok {
+				t.Fatal("Get hit despite the fault")
+			}
+			st := d.Stats()
+			st.Bytes = 0
+			if st != tc.want {
+				t.Errorf("stats after the fault = %+v, want %+v", st, tc.want)
+			}
+
+			d.Put("k", metrics(1))
+			if got, ok := d.Get("k"); !ok || got != metrics(1) {
+				t.Errorf("next Put/Get did not round-trip: %v %v", got, ok)
+			}
+			if st := d.Stats(); st.WriteErrors != tc.want.WriteErrors || st.ReadErrors != tc.want.ReadErrors {
+				t.Errorf("clean round trip moved the error counters: %+v", st)
+			}
+		})
 	}
 }
 
-// TestBreakerTripsDegradesAndRecovers walks the full state machine:
-// consecutive ENOSPC-style failures (not retried — retrying cannot
-// help) trip the circuit, traffic is shed into degraded memory-only
-// mode, a failing half-open probe reopens it, and once the device
-// heals a probe closes it again.
-func TestBreakerTripsDegradesAndRecovers(t *testing.T) {
-	testutil.LeakCheck(t)
-	const cooldown = 30 * time.Millisecond
-	d := fastDisk(t, t.TempDir(), store.DiskOptions{
-		Retries: -1, BreakerThreshold: 2, BreakerCooldown: cooldown})
-	// Every write fails with ENOSPC until the third fire; then healthy.
-	faults.Enable(faults.NewPlan(1, faults.Rule{
-		Site: faults.DiskWrite, Every: 1, Limit: 3, Err: syscall.ENOSPC}))
-	t.Cleanup(faults.Disable)
-
-	d.Put("k1", metrics(1)) // failure 1 of 2
-	d.Put("k2", metrics(2)) // failure 2 — trips
-	st := d.Stats()
-	if st.Breaker != "open" || st.BreakerTrips != 1 {
-		t.Fatalf("after %d write errors: breaker %q/%d trips, want open/1", st.WriteErrors, st.Breaker, st.BreakerTrips)
-	}
-	if st.WriteErrors != 2 || st.Retries != 0 {
-		t.Errorf("ENOSPC path: WriteErrors=%d Retries=%d, want 2/0 (no point retrying)", st.WriteErrors, st.Retries)
-	}
-
-	// Open circuit: reads and writes are shed, counted as degraded.
-	d.Put("k3", metrics(3))
-	if _, ok := d.Get("k1"); ok {
-		t.Error("degraded store served a read from disk")
-	}
-	if st = d.Stats(); st.Degraded < 2 {
-		t.Errorf("Degraded = %d, want >= 2 (one shed write, one shed read)", st.Degraded)
-	}
-
-	// First half-open probe meets the last injected failure: reopen.
-	time.Sleep(cooldown + 5*time.Millisecond)
-	d.Put("k4", metrics(4))
-	if st = d.Stats(); st.Breaker != "open" || st.BreakerTrips != 2 {
-		t.Fatalf("failed probe left breaker %q/%d trips, want open/2", st.Breaker, st.BreakerTrips)
-	}
-
-	// Faults exhausted: the next probe succeeds and closes the circuit.
-	time.Sleep(cooldown + 5*time.Millisecond)
-	d.Put("k5", metrics(5))
-	if st = d.Stats(); st.Breaker != "closed" {
-		t.Fatalf("healed probe left breaker %q, want closed", st.Breaker)
-	}
-	if _, ok := d.Get("k5"); !ok {
-		t.Error("entry written by the closing probe is missing")
-	}
-}
-
-// TestReadErrorFeedsBreaker: a real read I/O error (not a miss) is a
-// counted failure that can trip the circuit; reads flow again after the
-// cooldown and a verified hit closes it.
-func TestReadErrorFeedsBreaker(t *testing.T) {
-	const cooldown = 20 * time.Millisecond
-	d := fastDisk(t, t.TempDir(), store.DiskOptions{
-		BreakerThreshold: 1, BreakerCooldown: cooldown})
-	d.Put("k", metrics(1))
-
-	faults.Enable(faults.NewPlan(1, faults.Rule{
-		Site: faults.DiskRead, Nth: 1, Err: errors.New("injected read io")}))
-	t.Cleanup(faults.Disable)
-
-	if _, ok := d.Get("k"); ok {
-		t.Fatal("injected read error still served a hit")
-	}
-	st := d.Stats()
-	if st.ReadErrors != 1 {
-		t.Errorf("ReadErrors = %d, want 1", st.ReadErrors)
-	}
-	if st.Breaker != "open" {
-		t.Fatalf("breaker %q after read failure at threshold 1, want open", st.Breaker)
-	}
-	if _, ok := d.Get("k"); ok {
-		t.Error("open breaker let a read through inside the cooldown")
-	}
-	time.Sleep(cooldown + 5*time.Millisecond)
-	if _, ok := d.Get("k"); !ok {
-		t.Fatal("half-open read did not recover the entry")
-	}
-	if st = d.Stats(); st.Breaker != "closed" {
-		t.Errorf("verified hit left breaker %q, want closed", st.Breaker)
-	}
-}
-
-// TestCorruptWriteIsRejectedNotBreaker: a torn write "succeeds", the
-// read side rejects it as untrusted content, and — content not being a
-// device failure — the breaker does not move. A rewrite heals the key.
-func TestCorruptWriteIsRejectedNotBreaker(t *testing.T) {
-	d := fastDisk(t, t.TempDir(), store.DiskOptions{})
-	faults.Enable(faults.NewPlan(1, faults.Rule{
+// TestCorruptWriteIsRejected: a torn write "succeeds", the read side
+// rejects it as untrusted content (not an I/O error), and a rewrite
+// heals the key.
+func TestCorruptWriteIsRejected(t *testing.T) {
+	d := openDisk(t, store.DiskOptions{})
+	faults.Enable(faults.NewPlan(faults.Rule{
 		Site: faults.DiskWrite, Nth: 1, Corrupt: true}))
 	t.Cleanup(faults.Disable)
 
@@ -160,9 +105,6 @@ func TestCorruptWriteIsRejectedNotBreaker(t *testing.T) {
 	if st.Rejected != 1 || st.WriteErrors != 0 || st.ReadErrors != 0 {
 		t.Errorf("torn write counted wrong: %+v, want 1 rejection and no errors", st)
 	}
-	if st.Breaker != "closed" || st.BreakerTrips != 0 {
-		t.Errorf("content corruption moved the breaker: %q/%d trips", st.Breaker, st.BreakerTrips)
-	}
 	d.Put("k", metrics(1))
 	if got, ok := d.Get("k"); !ok || got != metrics(1) {
 		t.Errorf("rewrite did not heal the torn entry: %v %v", got, ok)
@@ -173,7 +115,7 @@ func TestCorruptWriteIsRejectedNotBreaker(t *testing.T) {
 // store.disk.open surfaces as the constructor's error.
 func TestOpenDiskFaultSite(t *testing.T) {
 	boom := errors.New("injected open failure")
-	faults.Enable(faults.NewPlan(1, faults.Rule{Site: faults.DiskOpen, Nth: 1, Err: boom}))
+	faults.Enable(faults.NewPlan(faults.Rule{Site: faults.DiskOpen, Nth: 1, Err: boom}))
 	t.Cleanup(faults.Disable)
 	if _, err := store.OpenDisk(t.TempDir()); !errors.Is(err, boom) {
 		t.Fatalf("OpenDisk returned %v, want the injected error", err)
@@ -221,7 +163,7 @@ func TestClearAcceptsStoreShaped(t *testing.T) {
 	if err := store.CheckStoreShape(filepath.Join(t.TempDir(), "never-created")); err != nil {
 		t.Errorf("absent dir failed the shape check: %v", err)
 	}
-	d := fastDisk(t, t.TempDir(), store.DiskOptions{})
+	d := openDisk(t, store.DiskOptions{})
 	if err := d.Clear(); err != nil {
 		t.Fatalf("empty store refused to clear: %v", err)
 	}
@@ -245,7 +187,7 @@ func TestClearAcceptsStoreShaped(t *testing.T) {
 // TestDurableRoundTrip: the fsync path writes entries that read back
 // verified, and leaves no temp files behind.
 func TestDurableRoundTrip(t *testing.T) {
-	d := fastDisk(t, t.TempDir(), store.DiskOptions{Durable: true})
+	d := openDisk(t, store.DiskOptions{Durable: true})
 	d.Put("k", metrics(2))
 	got, ok := d.Get("k")
 	if !ok || got != metrics(2) {

@@ -42,22 +42,12 @@ type Stats struct {
 	// corrupt files, schema-version mismatches, fingerprint mismatches.
 	// Each rejection also counts as a miss.
 	Rejected uint64
-	// WriteErrors counts Puts that failed to persist after their
-	// bounded retries.
+	// WriteErrors counts Puts that failed to persist; each failed Put
+	// is dropped after one attempt.
 	WriteErrors uint64
 	// ReadErrors counts Gets that failed with a real I/O error (a plain
-	// not-exist miss is not an error).
+	// not-exist miss is not an error). Each also counts as a miss.
 	ReadErrors uint64
-	// Retries counts write attempts re-issued after transient failures.
-	Retries uint64
-	// Degraded counts operations shed because the circuit breaker had
-	// tripped the tier into memory-only mode.
-	Degraded uint64
-	// Breaker names the tier's circuit state ("closed", "open",
-	// "half-open"); empty for tiers without a breaker (Memory).
-	Breaker string
-	// BreakerTrips counts transitions into the open state.
-	BreakerTrips uint64
 	// Entries and Bytes describe the store's current contents (metrics
 	// tier only; for Memory, Bytes is zero — entries are in-heap).
 	Entries int
