@@ -96,7 +96,7 @@ func TestGaplessProbeAllocs(t *testing.T) {
 }
 
 // TestGraphAccessorAllocs guards the O(1) accessors the gapless path
-// reads per probe: per-iteration and schedulable counts, compact
+// reads per probe: per-iteration schedulable counts, compact
 // successor/predecessor queries, and the leaf visits.
 func TestGraphAccessorAllocs(t *testing.T) {
 	pctx, _, ops := buildIterChain(8, 4, 4)
@@ -104,7 +104,7 @@ func TestGraphAccessorAllocs(t *testing.T) {
 	n := g.NodeOf(ops[4])
 	var sink int
 	allocs := testing.AllocsPerRun(500, func() {
-		sink = n.IterCount(2) + n.SchedCount()
+		sink = n.IterCount(2)
 		n.VisitSuccessors(func(s *graph.Node) bool { sink++; return true })
 		if s := n.NonDrainSucc(); s != nil {
 			sink++

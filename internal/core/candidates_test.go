@@ -65,14 +65,14 @@ func buildRandomChain(rng *rand.Rand, nNodes int) (*scheduler, []*graph.Node, []
 }
 
 // TestCandidatesRandomMutations drives thousands of random mutation
-// sequences — picks under random room gates, upward op moves, freezes,
-// suspensions and unsuspensions, unmoveable marks, tried-generation
-// bumps, and frontier advances — against schedulers with the reference
-// scan retained, asserting after every pick that the incremental
-// candidate structure returns the identical op, that the incremental
-// rule-3 bound matches a rescan, and that the structure invariants
-// (checkCandidates) and the graph's own cached-state invariants
-// (graph.Validate) hold.
+// sequences — picks under random room gates, upward op moves, frozen
+// drain clones, suspensions and unsuspensions, unmoveable marks,
+// tried-generation bumps, and frontier advances — against schedulers
+// with the reference scan retained, asserting after every pick that the
+// incremental candidate structure returns the identical op, that the
+// incremental rule-3 bound matches a rescan, and that the structure
+// invariants (checkCandidates) and the graph's own cached-state
+// invariants (graph.Validate) hold.
 //
 // The mutation grammar mirrors the scheduler's real event structure:
 // operations only move upward (toward smaller positions), the frontier
@@ -147,13 +147,13 @@ func TestCandidatesRandomMutations(t *testing.T) {
 					break
 				}
 				g.MoveOp(op, chain[rng.Intn(hi)].Root)
-			case 5:
-				if suspActive || op.Frozen || op.IsBranch() {
+			case 5: // a frozen clone enters through AddOp at a fresh drain node (move-cj's drain path)
+				if suspActive || op.IsBranch() || g.NodeOf(op) == nil {
 					break
 				}
-				if home := g.NodeOf(op); home != nil && home.OpCount() > 1 {
-					g.FreezeOp(op)
-				}
+				drain := g.NewNode()
+				drain.Drain = true
+				g.AddOp(op.Clone(g.Alloc.OpID(), true), drain.Root)
 			case 6:
 				if !s.suspended.Has(op.Index) && g.NodeOf(op) != nil {
 					s.suspendOp(op)

@@ -6,15 +6,6 @@ import (
 	"repro/internal/ir"
 )
 
-// opLoc is one entry of the dense op-location table: the vertex holding
-// the op, plus the op pointer itself so lookups can verify identity (op
-// IDs are only unique within one allocator; an op from a cloned program
-// must not resolve against this graph's table).
-type opLoc struct {
-	op *ir.Op
-	v  *Vertex
-}
-
 // Graph is a VLIW program graph. All structural mutation must go through
 // Graph methods so that adjacency sets, operation locations, cached
 // node op counts, and the cached traversal order stay consistent;
@@ -34,10 +25,9 @@ type Graph struct {
 
 	nodes map[*Node]bool
 
-	// locs maps op.ID -> location. Op IDs are dense (ir.Alloc hands
-	// them out sequentially), so this is a slice lookup on the
-	// scheduler's hottest query (Where/NodeOf), not a pointer-keyed map.
-	locs      []opLoc
+	// numPlaced counts the ops and branches placed in live trees; the
+	// placement itself lives on each op (Graph.loc), and Validate
+	// cross-checks the two by census.
 	numPlaced int
 
 	version    uint64
@@ -48,11 +38,10 @@ type Graph struct {
 	maxPos     float64
 
 	// onOpHome, when set, observes every event that changes which node
-	// (if any) holds an operation: placement, removal, re-homing via
-	// subtree adoption, and in-place freezing. Schedulers register it
-	// for the duration of a run so incrementally maintained candidate
-	// structures hear about ops whose home changed underneath them
-	// (see SetOpHomeHook).
+	// (if any) holds an operation: placement, removal, and re-homing via
+	// subtree adoption. Schedulers register it for the duration of a
+	// run so incrementally maintained candidate structures hear about
+	// ops whose home changed underneath them (see SetOpHomeHook).
 	onOpHome func(op *ir.Op)
 
 	// Chunk arenas for the graph's own small allocations: nodes,
@@ -84,16 +73,14 @@ func New(alloc *ir.Alloc) *Graph {
 	return &Graph{
 		Alloc: alloc,
 		nodes: make(map[*Node]bool),
-		locs:  make([]opLoc, alloc.NumOps()+1),
 	}
 }
 
 // loc returns op's registered location, or nil. It reads the
-// op-resident placement slot — a line the caller has usually just
-// touched — rather than the location table, which stays authoritative
-// for the census and Validate's reverse check. The owning-graph test
-// rejects placements held over from another graph (clone sources,
-// stale pointers into a discarded graph).
+// op-resident placement slot — the only placement record, on a line the
+// caller has usually just touched. The owning-graph test rejects
+// placements held over from another graph (clone sources, stale
+// pointers into a discarded graph).
 func (g *Graph) loc(op *ir.Op) *Vertex {
 	if v, ok := op.Placement().(*Vertex); ok && v.node.g == g {
 		return v
@@ -101,23 +88,8 @@ func (g *Graph) loc(op *ir.Op) *Vertex {
 	return nil
 }
 
-// setLoc registers op at v, growing the table for ops allocated after
-// the graph was created (frozen drain clones).
+// setLoc registers op at v.
 func (g *Graph) setLoc(op *ir.Op, v *Vertex) {
-	id := op.ID
-	if id < 0 {
-		panic("graph: op with negative ID")
-	}
-	if id >= len(g.locs) {
-		need := id + 1
-		if n := 2 * len(g.locs); n > need {
-			need = n
-		}
-		grown := make([]opLoc, need)
-		copy(grown, g.locs)
-		g.locs = grown
-	}
-	g.locs[id] = opLoc{op: op, v: v}
 	op.SetPlacement(v)
 	g.numPlaced++
 	if g.onOpHome != nil {
@@ -125,11 +97,9 @@ func (g *Graph) setLoc(op *ir.Op, v *Vertex) {
 	}
 }
 
-// clearLoc unregisters op.
+// clearLoc unregisters op; an op this graph does not hold is left alone.
 func (g *Graph) clearLoc(op *ir.Op) {
-	id := op.ID
-	if uint(id) < uint(len(g.locs)) && g.locs[id].op == op {
-		g.locs[id] = opLoc{}
+	if g.loc(op) != nil {
 		op.SetPlacement(nil)
 		g.numPlaced--
 		if g.onOpHome != nil {
@@ -139,14 +109,13 @@ func (g *Graph) clearLoc(op *ir.Op) {
 }
 
 // SetOpHomeHook registers f to be called after every mutation that
-// changes an operation's home: AddOp/RemoveOp/MoveOp (via the location
-// table), branch placement and detachment, AdoptSubtree re-homing a
-// whole tree, and FreezeOp flipping a placed op out of the schedulable
-// set. It returns the previously registered hook so callers can save
-// and restore around a scheduling run. The hook must not mutate the
-// graph; it exists so schedulers can maintain incremental candidate
-// structures (see internal/core) without rescanning: membership updates
-// happen at the mutation site, in O(1) per affected op.
+// changes an operation's home: AddOp/RemoveOp/MoveOp, branch placement
+// and detachment, and AdoptSubtree re-homing a whole tree. It returns
+// the previously registered hook so callers can save and restore
+// around a scheduling run. The hook must not mutate the graph; it
+// exists so schedulers can maintain incremental candidate structures
+// (see internal/core) without rescanning: membership updates happen at
+// the mutation site, in O(1) per affected op.
 func (g *Graph) SetOpHomeHook(f func(op *ir.Op)) func(op *ir.Op) {
 	prev := g.onOpHome
 	g.onOpHome = f
@@ -422,29 +391,6 @@ func (g *Graph) RemoveOp(op *ir.Op) {
 	g.bump()
 }
 
-// FreezeOp marks a placed operation Frozen, maintaining the per-node
-// schedulable counts. The Frozen flag of a placed op must never be
-// flipped directly: the incremental caches depend on the graph seeing
-// the transition. (Ops frozen before placement — drain clones, epilogue
-// copies — just go through AddOp as usual.)
-func (g *Graph) FreezeOp(op *ir.Op) {
-	v := g.loc(op)
-	if v == nil {
-		panic("graph: FreezeOp of unplaced op")
-	}
-	if op.Frozen {
-		return
-	}
-	if n := v.node; n != nil {
-		n.noteOpRemoved(op)
-	}
-	op.Frozen = true
-	if g.onOpHome != nil {
-		g.onOpHome(op)
-	}
-	g.bump()
-}
-
 // MoveOp detaches op from its current vertex and re-attaches it at v.
 func (g *Graph) MoveOp(op *ir.Op, v *Vertex) {
 	g.RemoveOp(op)
@@ -562,51 +508,10 @@ func (g *Graph) AdoptSubtree(n *Node, sub *Vertex) {
 	adopt(sub)
 	n.opCount = ops
 	n.branchCount = branches
-	// Freshly built subtrees (frozen drain clones) carry no summaries
-	// and detached ones have stale parent pointers above them; rebuild
-	// the whole adopted tree bottom-up.
+	// A subtree detached by DetachBranchRoot lost the ancestors its
+	// path-prefix summaries were built over; rebuild the whole adopted
+	// tree bottom-up.
 	recomputeSummaries(sub)
-	g.bump()
-}
-
-// CloneSubtreeFrozen deep-copies the subtree rooted at sub for use on a
-// drain path: operations and branches are cloned with fresh IDs and
-// marked Frozen, leaf successors are preserved. The clone is returned
-// unattached (no node owner, no registered locations, no linked edges);
-// adopt it with AdoptSubtree.
-func (g *Graph) CloneSubtreeFrozen(sub *Vertex) *Vertex {
-	c := g.allocVertex()
-	c.Succ = sub.Succ
-	if len(sub.Ops) > 0 {
-		c.Ops = g.allocOpSlice()
-	}
-	for _, op := range sub.Ops {
-		c.Ops = append(c.Ops, op.Clone(g.Alloc.OpID(), true))
-	}
-	if sub.CJ != nil {
-		c.CJ = sub.CJ.Clone(g.Alloc.OpID(), true)
-		c.True = g.CloneSubtreeFrozen(sub.True)
-		c.False = g.CloneSubtreeFrozen(sub.False)
-		c.True.parent = c
-		c.False.parent = c
-		c.Succ = nil
-	}
-	return c
-}
-
-// registerSubtree records locations for every op in an adopted subtree
-// whose ops are not yet registered (used for cloned drains).
-func (g *Graph) RegisterSubtreeOps(sub *Vertex) {
-	sub.walk(func(v *Vertex) {
-		for _, op := range v.Ops {
-			if g.loc(op) == nil {
-				g.setLoc(op, v)
-			}
-		}
-		if v.CJ != nil && g.loc(v.CJ) == nil {
-			g.setLoc(v.CJ, v)
-		}
-	})
 	g.bump()
 }
 

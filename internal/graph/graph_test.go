@@ -147,27 +147,6 @@ func TestInsertBefore(t *testing.T) {
 	}
 }
 
-func TestCloneSubtreeFrozen(t *testing.T) {
-	g, ns, ops := buildChain(t)
-	clone := g.CloneSubtreeFrozen(ns[1].Root)
-	n := g.NewNode()
-	g.AdoptSubtree(n, clone)
-	g.RegisterSubtreeOps(clone)
-	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate after clone adopt: %v", err)
-	}
-	cOps := n.Ops()
-	if len(cOps) != 1 || !cOps[0].Frozen {
-		t.Fatalf("clone ops wrong: %v", cOps)
-	}
-	if cOps[0].Origin != ops[1].Origin || cOps[0].ID == ops[1].ID {
-		t.Fatal("clone identity wrong")
-	}
-	if n.FallThrough() != ns[2] {
-		t.Fatal("clone must preserve leaf successor")
-	}
-}
-
 func TestValidateCatchesDoubleDef(t *testing.T) {
 	g, ns, ops := buildChain(t)
 	dup := &ir.Op{ID: g.Alloc.OpID(), Kind: ir.Const, Dst: ops[0].Dst, Imm: 9}
@@ -182,18 +161,77 @@ func TestIterCountAndSchedCount(t *testing.T) {
 	if ns[0].IterCount(0) != 1 || ns[0].IterCount(1) != 0 {
 		t.Fatal("IterCount wrong")
 	}
-	// Freezing must go through the graph so the incremental counts see
-	// the transition.
-	g.FreezeOp(ops[0])
-	if ns[0].IterCount(0) != 0 || ns[0].SchedCount() != 0 {
+	// Frozen ops enter the graph only already frozen, through AddOp
+	// (move-cj drain clones, epilogue copies); they must not count.
+	drain := g.NewNode()
+	drain.Drain = true
+	g.AddOp(ops[0].Clone(g.Alloc.OpID(), true), drain.Root)
+	if drain.IterCount(0) != 0 || drain.OpCount() != 1 {
 		t.Fatal("frozen ops must not count")
 	}
-	if ns[2].SchedCount() != 1 { // the branch
+	if ns[0].IterCount(0) != 1 {
+		t.Fatal("cloning must not disturb the source's count")
+	}
+	if ns[2].IterCount(0) != 1 { // the branch
 		t.Fatal("branch must count as schedulable")
 	}
 	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate after FreezeOp: %v", err)
+		t.Fatalf("Validate after frozen AddOp: %v", err)
 	}
+}
+
+// TestValidateCatchesPlacementFaults: the op-resident slot is the only
+// placement record, so Validate must catch a slot that disagrees with
+// the trees in either direction, and a clone's ops must not resolve
+// against the source graph.
+func TestValidateCatchesPlacementFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault func(g *Graph, ns []*Node, ops []*ir.Op)
+		want  string
+	}{
+		{"stray registration", func(g *Graph, ns []*Node, _ []*ir.Op) {
+			stray := &ir.Op{ID: g.Alloc.OpID(), Kind: ir.Const, Dst: g.Alloc.Reg(""), Imm: 7}
+			g.setLoc(stray, ns[0].Root) // registered, but no tree holds it
+		}, "numPlaced"},
+		{"nil slot", func(_ *Graph, _ []*Node, ops []*ir.Op) {
+			ops[1].SetPlacement(nil)
+		}, "location out of sync"},
+		{"slot at another vertex", func(_ *Graph, ns []*Node, ops []*ir.Op) {
+			ops[1].SetPlacement(ns[0].Root)
+		}, "location out of sync"},
+		{"branch slot at another vertex", func(_ *Graph, ns []*Node, ops []*ir.Op) {
+			ops[2].SetPlacement(ns[3].Root)
+		}, "branch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, ns, ops := buildChain(t)
+			tc.fault(g, ns, ops)
+			if err := g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+
+	t.Run("clone ops stay foreign", func(t *testing.T) {
+		g, _, ops := buildChain(t)
+		ng, byID := g.Clone(g.Alloc.Clone())
+		for _, op := range ops {
+			c := byID[op.ID]
+			if c == nil || ng.Where(c) == nil {
+				t.Fatalf("op %v: not placed in the clone", op)
+			}
+			if g.Where(c) != nil {
+				t.Fatalf("op %v: clone resolves against the source graph", op)
+			}
+			if ng.Where(op) != nil {
+				t.Fatalf("op %v: source op resolves against the clone", op)
+			}
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestRowString(t *testing.T) {

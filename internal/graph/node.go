@@ -29,13 +29,11 @@ type Node struct {
 	opCount     int
 	branchCount int
 
-	// schedCount and iterCounts cache the schedulable (non-frozen)
-	// operation totals, overall and per iteration (iterCounts[iter+1];
-	// slot 0 holds NoIter ops). Maintained by the same mutators plus
-	// FreezeOp, so the Gapless-move test's IterCount/SchedCount queries
-	// are O(1) slice reads instead of tree walks; Validate cross-checks
-	// them against a recount. See DESIGN.md.
-	schedCount int
+	// iterCounts caches the schedulable (non-frozen) operation totals
+	// per iteration (iterCounts[iter+1]; slot 0 holds NoIter ops).
+	// Maintained by the same mutators, so the Gapless-move test's
+	// IterCount query is an O(1) slice read instead of a tree walk;
+	// Validate cross-checks it against a recount. See DESIGN.md.
 	iterCounts []int32
 
 	// preds/succs are the node's compact adjacency sets, maintained by
@@ -101,13 +99,12 @@ func (n *Node) OpCount() int { return n.opCount }
 // BranchCount returns the number of conditional jumps in the tree. O(1).
 func (n *Node) BranchCount() int { return n.branchCount }
 
-// noteOpAdded updates the schedulable-op caches for an op (branches
-// included) just placed somewhere in n's tree.
+// noteOpAdded updates the per-iteration schedulable counts for an op
+// (branches included) just placed somewhere in n's tree.
 func (n *Node) noteOpAdded(op *ir.Op) {
 	if op.Frozen {
 		return
 	}
-	n.schedCount++
 	n.bumpIter(op.Iter, 1)
 }
 
@@ -116,7 +113,6 @@ func (n *Node) noteOpRemoved(op *ir.Op) {
 	if op.Frozen {
 		return
 	}
-	n.schedCount--
 	n.bumpIter(op.Iter, -1)
 }
 
@@ -144,10 +140,9 @@ func (n *Node) bumpIter(iter int, d int32) {
 	}
 }
 
-// resetSchedCounts clears the schedulable-op caches (AdoptSubtree
-// recomputes them from the adopted tree).
+// resetSchedCounts clears the per-iteration schedulable counts
+// (AdoptSubtree recomputes them from the adopted tree).
 func (n *Node) resetSchedCounts() {
-	n.schedCount = 0
 	for i := range n.iterCounts {
 		n.iterCounts[i] = 0
 	}
@@ -172,18 +167,15 @@ func (n *Node) recountBranches() int {
 	return c
 }
 
-// recountSched recomputes the schedulable totals by walking: the
-// overall count plus the per-iteration counts keyed exactly like
-// iterCounts (Validate's cross-check of the incremental caches).
-func (n *Node) recountSched() (int, map[int]int32) {
-	c := 0
+// recountSched recomputes the per-iteration schedulable counts by
+// walking, keyed exactly like iterCounts (Validate's cross-check of the
+// incremental cache).
+func (n *Node) recountSched() map[int]int32 {
 	iters := map[int]int32{}
 	count := func(o *ir.Op) {
-		if o.Frozen {
-			return
+		if !o.Frozen {
+			iters[o.Iter+1]++
 		}
-		c++
-		iters[o.Iter+1]++
 	}
 	n.Walk(func(v *Vertex) {
 		for _, o := range v.Ops {
@@ -193,7 +185,7 @@ func (n *Node) recountSched() (int, map[int]int32) {
 			count(v.CJ)
 		}
 	})
-	return c, iters
+	return iters
 }
 
 // Branches returns the conditional-jump ops in the tree, root first.
@@ -320,10 +312,6 @@ func (n *Node) IterCount(iter int) int {
 	}
 	return 0
 }
-
-// SchedCount returns the number of schedulable (non-frozen) ops and
-// branches in the node. O(1).
-func (n *Node) SchedCount() int { return n.schedCount }
 
 // FallThrough returns the single successor when the node has exactly one
 // leaf, else nil. O(1): a tree with b branch vertices has b+1 leaves, so

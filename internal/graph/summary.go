@@ -12,10 +12,11 @@ import (
 // and the "pre" tier covers the root→vertex path of the instruction
 // tree (parent's pre ∪ own; the root's pre is its own tier). Register
 // sets are exact — a bit is set iff some operation in the covered scope
-// defines/reads that register — and the store/load counters count
-// memory operations in the covered scope. Frozen operations are
-// included: the ps dependence scans the summaries filter do not skip
-// them either.
+// defines/reads that register — and the memory counters count memory
+// operations in the covered scope: loads in the own and sub tiers,
+// stores in the pre tier (own stores are len(storePos)). Frozen
+// operations are included: the ps dependence scans the summaries filter
+// do not skip them either.
 //
 // The sub tier answers "could anything below here conflict" (a
 // superset of any single path); the pre tier answers "does anything on
@@ -37,12 +38,9 @@ type summary struct {
 	ownDefs, ownUses bitset.Grow
 	subDefs, subUses bitset.Grow
 	preDefs          bitset.Grow
-	ownStores        int32
 	ownLoads         int32
-	subStores        int32
 	subLoads         int32
 	preStores        int32
-	preLoads         int32
 
 	// defSites is the own-tier def-site index: one entry per operation
 	// in the vertex's op list that defines a register, sorted by (reg,
@@ -111,9 +109,7 @@ func (s *summary) words() int {
 // instead of clobbering a neighbour); it returns the unused arena
 // tails. Graph-wide arenas keep Clone at a constant allocation count.
 func (s *summary) cloneInto(dst *summary, arena []uint64, dsArena []defSite, spArena []int32) ([]uint64, []defSite, []int32) {
-	dst.ownStores, dst.ownLoads = s.ownStores, s.ownLoads
-	dst.subStores, dst.subLoads = s.subStores, s.subLoads
-	dst.preStores, dst.preLoads = s.preStores, s.preLoads
+	dst.ownLoads, dst.subLoads, dst.preStores = s.ownLoads, s.subLoads, s.preStores
 	for _, p := range [5]struct{ d, s *bitset.Grow }{
 		{&dst.ownDefs, &s.ownDefs}, {&dst.ownUses, &s.ownUses},
 		{&dst.subDefs, &s.subDefs}, {&dst.subUses, &s.subUses},
@@ -137,7 +133,8 @@ func (s *summary) cloneInto(dst *summary, arena []uint64, dsArena []defSite, spA
 }
 
 // addOp ORs one operation's contribution into the own tier (branches
-// contribute reads only; Def is NoReg for them).
+// contribute reads only; Def is NoReg for them). Stores are counted by
+// indexOp.
 func (s *summary) addOp(op *ir.Op) {
 	if d := op.Def(); d != ir.NoReg {
 		s.ownDefs.Add(int(d))
@@ -145,9 +142,6 @@ func (s *summary) addOp(op *ir.Op) {
 	var buf [3]ir.Reg
 	for _, u := range op.Uses(buf[:0]) {
 		s.ownUses.Add(int(u))
-	}
-	if op.IsStore() {
-		s.ownStores++
 	}
 	if op.IsLoad() {
 		s.ownLoads++
@@ -185,7 +179,7 @@ func (v *Vertex) recomputeOwn() {
 	s := &v.sum
 	s.ownDefs.Reset()
 	s.ownUses.Reset()
-	s.ownStores, s.ownLoads = 0, 0
+	s.ownLoads = 0
 	s.defSites = s.defSites[:0]
 	s.storePos = s.storePos[:0]
 	for i, op := range v.Ops {
@@ -203,14 +197,13 @@ func (v *Vertex) recomputeSub() {
 	s := &v.sum
 	s.subDefs.CopyFrom(&s.ownDefs)
 	s.subUses.CopyFrom(&s.ownUses)
-	s.subStores, s.subLoads = s.ownStores, s.ownLoads
+	s.subLoads = s.ownLoads
 	if v.IsLeaf() {
 		return
 	}
 	for _, c := range [2]*Vertex{v.True, v.False} {
 		s.subDefs.Or(&c.sum.subDefs)
 		s.subUses.Or(&c.sum.subUses)
-		s.subStores += c.sum.subStores
 		s.subLoads += c.sum.subLoads
 	}
 }
@@ -223,12 +216,11 @@ func (v *Vertex) recomputePre() {
 	if p := v.parent; p != nil {
 		s.preDefs.CopyFrom(&p.sum.preDefs)
 		s.preDefs.Or(&s.ownDefs)
-		s.preStores = p.sum.preStores + s.ownStores
-		s.preLoads = p.sum.preLoads + s.ownLoads
+		s.preStores = p.sum.preStores + int32(len(s.storePos))
 		return
 	}
 	s.preDefs.CopyFrom(&s.ownDefs)
-	s.preStores, s.preLoads = s.ownStores, s.ownLoads
+	s.preStores = int32(len(s.storePos))
 }
 
 // repropagatePre rebuilds the pre tiers of the subtree rooted at v,
@@ -257,8 +249,8 @@ func resummarize(v *Vertex) {
 
 // recomputeSummaries rebuilds every summary in the subtree rooted at v
 // from scratch: own and sub tiers bottom-up, then pre tiers top-down
-// (subtree adoption, freshly built clones). The caller guarantees v's
-// parent pointer is current (AdoptSubtree clears it before calling).
+// (subtree adoption). The caller guarantees v's parent pointer is
+// current (AdoptSubtree clears it before calling).
 func recomputeSummaries(v *Vertex) {
 	recomputeOwnSub(v)
 	repropagatePre(v)
@@ -302,10 +294,6 @@ func (v *Vertex) DefinesHere(r ir.Reg) bool {
 	return v.sum.ownDefs.Has(int(r))
 }
 
-// SubtreeStores reports whether the subtree rooted at v contains a
-// store. O(1).
-func (v *Vertex) SubtreeStores() bool { return v.sum.subStores > 0 }
-
 // SubtreeLoads reports whether the subtree rooted at v contains a
 // load. O(1).
 func (v *Vertex) SubtreeLoads() bool { return v.sum.subLoads > 0 }
@@ -321,7 +309,7 @@ func (v *Vertex) ReadsHere(r ir.Reg) bool {
 
 // StoresHere reports whether v's own operation list contains a store.
 // O(1).
-func (v *Vertex) StoresHere() bool { return v.sum.ownStores > 0 }
+func (v *Vertex) StoresHere() bool { return len(v.sum.storePos) > 0 }
 
 // LoadsHere reports whether v's own operation list contains a load.
 // O(1).
@@ -367,9 +355,6 @@ func (v *Vertex) StoreSites() []int32 { return v.sum.storePos }
 
 // PathStores reports whether the root→v path contains a store. O(1).
 func (v *Vertex) PathStores() bool { return v.sum.preStores > 0 }
-
-// PathLoads reports whether the root→v path contains a load. O(1).
-func (v *Vertex) PathLoads() bool { return v.sum.preLoads > 0 }
 
 // ReplaceUse substitutes register to for every read of from in op,
 // keeping the def/use summaries exact. All operand rewrites of placed

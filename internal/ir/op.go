@@ -74,9 +74,8 @@ type Op struct {
 	// by package graph (held as any to avoid an import cycle). Keeping
 	// it on the op turns the scheduler's hottest query — "which vertex
 	// holds this op" — into a read of a cache line the caller already
-	// touched, instead of a random probe into a side table. Graph
-	// mutators keep it in sync with their location table; no other
-	// package may touch it.
+	// touched, instead of a random probe into a side table. It is the
+	// graph's only placement record; no other package may touch it.
 	loc any
 }
 

@@ -118,18 +118,3 @@ func findDef(v *graph.Vertex, d ir.Reg, except *ir.Op) Block {
 	}
 	return findDef(v.False, d, except)
 }
-
-// HoistToRoot hoists op repeatedly until it reaches the root vertex of
-// its node or a hoist is blocked. It returns the first block, or
-// BlockNone when the op reached the root.
-func (c *Ctx) HoistToRoot(op *ir.Op) Block {
-	for {
-		v := c.G.Where(op)
-		if v == v.Node().Root {
-			return blockNone
-		}
-		if blk := c.TryHoist(op, true); blk.Kind != BlockNone {
-			return blk
-		}
-	}
-}
