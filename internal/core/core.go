@@ -76,6 +76,12 @@ type Stats struct {
 	Unsuspensions    int // rule 2 wake-ups
 	GaplessRejects   int // moves rejected by the Gapless-move test
 	Renames          int
+
+	// Work counters: deterministic measures of how much the scheduler
+	// derived, independent of the hardware it ran on.
+	Picks          int // ops handed to migrate
+	GaplessEvals   int // Gapless-move verdicts evaluated in full (memo misses)
+	MoveProbeEvals int // move-op probes migrate ran in full (memo misses)
 }
 
 // The scheduler's per-op state lives in bitsets and slices addressed by
@@ -147,12 +153,14 @@ type scheduler struct {
 	// unrelated move.
 	gen int
 
-	// Gapless-move machinery (section 3.3), all stamped by the graph
+	// Gapless-move machinery (section 3.3), stamped by the graph
 	// mutation counter so one committed move invalidates everything at
 	// once: per-iteration max-Pos frontiers (condition 3 in O(1)
-	// amortized), memoized gapless verdicts by op index (from is always
-	// the op's home node), and memoized canFill probe results by
-	// (x, leaving) pair.
+	// amortized), memoized canFill probe results by (x, leaving) pair,
+	// and the per-op memo record — the version-stamped gapless verdict
+	// (from is always the op's home node) next to the two
+	// footprint-stamped verdicts that outlive a mutation elsewhere
+	// (footprint.go).
 	// fillMemo rows are allocated lazily per x (most ops are never the
 	// filler candidate of a canFill probe); a row spans the dense index
 	// space. Slice-backed rather than map-backed: the condition-4
@@ -161,9 +169,12 @@ type scheduler struct {
 	// geometric refill) so a commit-heavy schedule pays a handful of
 	// allocations for them, not one per probed op.
 	frontiers []iterFrontier
-	gapMemo   []memoEntry
+	memo      []opMemo
 	fillMemo  [][]memoEntry
 	memoChunk []memoEntry
+
+	// checkErr is the first CrossCheck divergence a memo replay found.
+	checkErr error
 }
 
 // allocMemoRow carves a zeroed n-entry fillMemo row from the memo
@@ -273,17 +284,18 @@ func newScheduler(ctx context.Context, pctx *ps.Ctx, ops []*ir.Op, pri *deps.Pri
 		s.byIter[op.Iter+1] = append(s.byIter[op.Iter+1], op)
 	}
 	s.frontiers = make([]iterFrontier, maxIter+2)
-	s.gapMemo = make([]memoEntry, n)
+	s.memo = make([]opMemo, n)
 	s.fillMemo = make([][]memoEntry, n)
 	pri.Rank(s.pool)
 	s.initCandidates(n)
 	if opts.CrossCheck {
 		s.refRanked = append([]*ir.Op(nil), s.pool...)
 	}
-	// The structure hears about every op whose home changes — re-homing
-	// via branch-move node splits, transient unplacement during moves,
+	// The structure, and the iteration stamps condition-3 certificates
+	// read, hear about every op whose home changes — re-homing via
+	// branch-move node splits, transient unplacement during moves,
 	// renaming compensations — through the graph's op-home hook.
-	s.prevHook = pctx.G.SetOpHomeHook(s.maybeAdd)
+	s.prevHook = pctx.G.SetOpHomeHook(s.opHomed)
 	return s
 }
 
@@ -359,6 +371,9 @@ func (s *scheduler) scheduleNode(n *graph.Node) error {
 		}
 		s.markTried(op)
 		s.migrate(n, op)
+		if s.checkErr != nil {
+			return s.checkErr
+		}
 	}
 }
 
@@ -473,6 +488,7 @@ func (s *scheduler) clearSuspensions() {
 // unsuspended operations (rule 2).
 func (s *scheduler) migrate(n *graph.Node, op *ir.Op) {
 	g := s.ctx.G
+	s.stats.Picks++
 	progressed := false
 	for g.NodeOf(op) != n {
 		s.steps++
@@ -498,12 +514,11 @@ func (s *scheduler) migrate(n *graph.Node, op *ir.Op) {
 			blk = s.ctx.TryHoist(op, true)
 		case op.IsBranch():
 			blk = s.ctx.TryMoveCJUp(op, true)
+		case s.opts.Renaming:
+			s.stats.MoveProbeEvals++
+			blk = s.ctx.TryMoveOpUpRenamed(op)
 		default:
-			if s.opts.Renaming {
-				blk = s.ctx.TryMoveOpUpRenamed(op)
-			} else {
-				blk = s.ctx.TryMoveOpUp(op, true, nil)
-			}
+			blk = s.moveOpUp(cur, op)
 		}
 
 		if blk.Kind != ps.BlockNone {

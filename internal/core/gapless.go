@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/graph"
 	"repro/internal/ir"
 	"repro/internal/ps"
@@ -46,7 +48,8 @@ func (e memoEntry) holds() bool { return uint64(e)&3 == 1 }
 //     left, and Gapless-move(S, from, X) holds recursively — the
 //     temporary gap op leaves is certain to be fillable.
 func (s *scheduler) gaplessMove(from *graph.Node, op *ir.Op) bool {
-	ok, _ := s.gapless(from, op, 0)
+	var fp footprint
+	ok, _ := s.gapless(from, op, 0, &fp)
 	return ok
 }
 
@@ -55,29 +58,53 @@ func (s *scheduler) gaplessMove(from *graph.Node, op *ir.Op) bool {
 // because the recursion budget ran out is inexact: a shallower entry
 // point could still prove the move gapless, so such verdicts are never
 // memoized. True verdicts and budget-untouched false verdicts are
-// depth-independent and cache under the current graph version, which
-// stops the recursive search from re-proving the same (node, op)
-// subproblem — from is always op's home, so the op index alone keys it.
-func (s *scheduler) gapless(from *graph.Node, op *ir.Op, depth int) (bool, bool) {
+// depth-independent. A true verdict whose proof read at most fpCap
+// nodes, all recorded, is certified by their stamps (see footprint.go)
+// and outlives every mutation elsewhere; the rest cache under the
+// current graph version. Either memo stops the recursive search from
+// re-proving the same (node, op) subproblem — from is always op's home,
+// so the op index alone keys them. On a true verdict fp holds the
+// proof's footprint, broken when it is unknown.
+func (s *scheduler) gapless(from *graph.Node, op *ir.Op, depth int, fp *footprint) (bool, bool) {
 	if depth > maxGaplessDepth {
 		return false, false
 	}
 	g := s.ctx.G
 	idx := op.Index
-	memoable := idx >= 0 && idx < len(s.gapMemo) && g.NodeOf(op) == from
+	memoable := idx >= 0 && idx < len(s.memo) && g.NodeOf(op) == from
 	if memoable {
-		if e := s.gapMemo[idx]; e != 0 && e.ver() == g.Version() {
+		if s.certified(from, op, depth) {
+			*fp = s.memo[idx].cert.fp
+			if s.opts.CrossCheck {
+				var ref footprint
+				if ok, _ := s.gaplessEval(from, op, depth, &ref); !ok {
+					s.fail(fmt.Errorf("core: gapless certificate replayed true for %v at n%d, evaluation says false", op, from.ID))
+				}
+			}
+			return true, true
+		}
+		if e := s.memo[idx].gap; e != 0 && e.ver() == g.Version() {
+			fp.broken = true
 			return e.holds(), true
 		}
 	}
-	ok, exact := s.gaplessEval(from, op, depth)
-	if memoable && (exact || ok) {
-		s.gapMemo[idx] = makeMemoEntry(g.Version(), ok)
+	ok, exact := s.gaplessEval(from, op, depth, fp)
+	if memoable {
+		if ok && !fp.broken {
+			s.certify(op, fp)
+		} else if exact || ok {
+			s.memo[idx].gap = makeMemoEntry(g.Version(), ok)
+		}
 	}
 	return ok, exact || ok
 }
 
-func (s *scheduler) gaplessEval(from *graph.Node, op *ir.Op, depth int) (bool, bool) {
+// gaplessEval evaluates the four conditions in full, recording in fp
+// the nodes the deciding condition read.
+func (s *scheduler) gaplessEval(from *graph.Node, op *ir.Op, depth int, fp *footprint) (bool, bool) {
+	s.stats.GaplessEvals++
+	*fp = footprint{}
+	fp.add(from)
 	// Condition 1.
 	if from.OpCount()+from.BranchCount() == 1 {
 		return true, true
@@ -88,6 +115,7 @@ func (s *scheduler) gaplessEval(from *graph.Node, op *ir.Op, depth int) (bool, b
 	}
 	// Condition 3.
 	if s.isLastOfIter(from, op) {
+		fp.iter = true
 		return true, true
 	}
 	// Condition 4.
@@ -96,7 +124,7 @@ func (s *scheduler) gaplessEval(from *graph.Node, op *ir.Op, depth int) (bool, b
 		if succ.Drain {
 			return true
 		}
-		ok, ex := s.findFiller(succ, op, depth)
+		ok, ex := s.findFiller(succ, op, depth, fp)
 		if ok {
 			found = true
 			return false
@@ -113,13 +141,15 @@ func (s *scheduler) gaplessEval(from *graph.Node, op *ir.Op, depth int) (bool, b
 // the gap op would leave behind. Instead of walking succ's instruction
 // tree it scans the per-iteration op list behind an O(1) IterCount gate
 // — the gapless search is localized, and an iteration holds only a
-// body's worth of operations. Returns (found, exact) like gapless.
-func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op, depth int) (bool, bool) {
+// body's worth of operations. Returns (found, exact) like gapless; on
+// success it extends fp with the proof's reads.
+func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op, depth int, fp *footprint) (bool, bool) {
 	if succ.IterCount(op.Iter) == 0 {
 		return false, true
 	}
 	g := s.ctx.G
 	exact := true
+	var sub footprint
 	for _, x := range s.byIter[op.Iter+1] {
 		if x == op || x.Frozen || g.NodeOf(x) != succ {
 			continue
@@ -127,8 +157,9 @@ func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op, depth int) (bool, bo
 		if !s.canFill(x, op) {
 			continue
 		}
-		ok, ex := s.gapless(succ, x, depth+1)
+		ok, ex := s.gapless(succ, x, depth+1, &sub)
 		if ok {
+			s.extendProof(fp, succ, x, &sub)
 			return true, true
 		}
 		if !ex {
@@ -136,6 +167,26 @@ func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op, depth int) (bool, bo
 		}
 	}
 	return false, exact
+}
+
+// extendProof adds a condition-4 step to fp: filler x at succ proved
+// the gap fillable. canFill read succ and its single predecessor — the
+// gap's node, already fp.nodes[0], since a move-op probe succeeds only
+// into a sole predecessor and fp's node has an edge to succ — but only
+// when x sits at succ's root and is not a branch; a hoist or move-cj
+// probe reads more, so such a step breaks the footprint. x's own proof
+// contributes its footprint.
+func (s *scheduler) extendProof(fp *footprint, succ *graph.Node, x *ir.Op, sub *footprint) {
+	if sub.broken || x.IsBranch() || s.ctx.G.Where(x) != succ.Root {
+		fp.broken = true
+		return
+	}
+	fp.add(succ)
+	for _, nd := range sub.nodes[:sub.n] {
+		fp.add(nd)
+	}
+	fp.iter = fp.iter || sub.iter
+	fp.height = sub.height + 1
 }
 
 // canFill reports whether x could move one node up, assuming `leaving`
@@ -182,12 +233,17 @@ func (s *scheduler) canFillEval(x, leaving *ir.Op) bool {
 // maximum), stamped by graph version. Recomputed at most once per
 // iteration per graph mutation; every further isLastOfIter probe in the
 // condition-4 recursion is O(1).
+//
+// homes is separate from that cache: it counts the home changes of the
+// iteration's ops (opHomed), and is the stamp condition-3 certificates
+// read (footprint.go), so recomputing the frontier keeps it.
 type iterFrontier struct {
-	ver  uint64
-	n    int     // schedulable ops of the iteration in non-drain nodes
-	op1  *ir.Op  // an op attaining max1
-	max1 float64 // highest home position
-	max2 float64 // highest home position over ops other than op1
+	ver   uint64
+	n     int     // schedulable ops of the iteration in non-drain nodes
+	op1   *ir.Op  // an op attaining max1
+	max1  float64 // highest home position
+	max2  float64 // highest home position over ops other than op1
+	homes uint32
 }
 
 func (s *scheduler) frontier(iter int) *iterFrontier {
@@ -196,7 +252,7 @@ func (s *scheduler) frontier(iter int) *iterFrontier {
 	if f.ver == g.Version() {
 		return f
 	}
-	*f = iterFrontier{ver: g.Version()}
+	*f = iterFrontier{ver: g.Version(), homes: f.homes}
 	for _, op := range s.byIter[iter+1] {
 		if op.Frozen {
 			continue

@@ -136,10 +136,3 @@ func liveOnSubtree(g *graph.Graph, w *graph.Vertex, r ir.Reg, exitLive map[ir.Re
 	return liveOnSubtree(g, w.True, r, exitLive, atEntry) ||
 		liveOnSubtree(g, w.False, r, exitLive, atEntry)
 }
-
-// SubtreeDefines reports whether any operation in the subtree rooted at v
-// (branches excluded — they define nothing) writes register r. Answered
-// from the subtree's maintained def summary.
-func SubtreeDefines(v *graph.Vertex, r ir.Reg) bool {
-	return v.SubtreeDefines(r)
-}

@@ -81,7 +81,7 @@ func TestLiveOnSubtreeAndDefines(t *testing.T) {
 		t.Error("r9 is killed at n2's root before any read")
 	}
 
-	if SubtreeDefines(root.True, r9) || SubtreeDefines(root.False, r2) {
-		t.Error("SubtreeDefines must only see defs inside the subtree")
+	if root.True.SubtreeDefines(r9) || root.False.SubtreeDefines(r2) {
+		t.Error("Vertex.SubtreeDefines must only see defs inside the subtree")
 	}
 }

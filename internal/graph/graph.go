@@ -228,37 +228,45 @@ func (g *Graph) NewNode() *Node {
 	n.iterCounts = g.allocIterCounts()
 	n.Root = g.allocVertex()
 	n.Root.node = n
+	n.touch()
 	g.nodes[n] = true
 	g.bump()
 	return n
 }
 
-// SetPos overrides a node's order-maintenance key. It bumps the graph
-// version: position keys feed the schedulers' below-the-frontier tests,
-// so memoized probe results stamped before the change must not survive.
+// SetPos overrides a node's order-maintenance key. Only a node that
+// holds no operations or branches may be repositioned (it panics
+// otherwise): positions are fixed before anything is placed, so the
+// position of every placed op's home never changes, which the
+// schedulers' position-derived memos rely on (DESIGN.md §2.3). It bumps
+// the graph version and touches n.
 func (g *Graph) SetPos(n *Node, pos float64) {
+	if !n.Empty() {
+		panic(fmt.Sprintf("graph: SetPos on n%d, which holds operations", n.ID))
+	}
 	n.pos = pos
 	if pos > g.maxPos {
 		g.maxPos = pos
 	}
+	n.touch()
 	g.bump()
 }
 
 // PlaceBetween keys n halfway between a and b (either may be nil for
-// "before everything" / "after everything").
+// "before everything" / "after everything"). Same contract as SetPos.
 func (g *Graph) PlaceBetween(n, a, b *Node) {
+	var pos float64
 	switch {
 	case a == nil && b == nil:
-		g.maxPos++
-		n.pos = g.maxPos
+		pos = g.maxPos + 1
 	case a == nil:
-		n.pos = b.pos - 1
+		pos = b.pos - 1
 	case b == nil:
-		g.SetPos(n, a.pos+1)
+		pos = a.pos + 1
 	default:
-		n.pos = (a.pos + b.pos) / 2
+		pos = (a.pos + b.pos) / 2
 	}
-	g.bump()
+	g.SetPos(n, pos)
 }
 
 // NumNodes returns the number of live nodes.
@@ -315,6 +323,8 @@ func (g *Graph) link(from, to *Node) {
 	}
 	to.preds.add(from)
 	from.succs.add(to)
+	from.touch()
+	to.touch()
 }
 
 func (g *Graph) unlink(from, to *Node) {
@@ -324,6 +334,8 @@ func (g *Graph) unlink(from, to *Node) {
 	if !to.preds.remove(from) || !from.succs.remove(to) {
 		panic(fmt.Sprintf("graph: unlink of absent edge n%d->n%d", from.ID, to.ID))
 	}
+	from.touch()
+	to.touch()
 }
 
 // RetargetLeaf points leaf at succ (nil for program exit), maintaining
@@ -365,6 +377,7 @@ func (g *Graph) AddOp(op *ir.Op, v *Vertex) {
 	if n := v.node; n != nil {
 		n.opCount++
 		n.noteOpAdded(op)
+		n.touch()
 	}
 	g.bump()
 }
@@ -387,6 +400,7 @@ func (g *Graph) RemoveOp(op *ir.Op) {
 	if n := v.node; n != nil {
 		n.opCount--
 		n.noteOpRemoved(op)
+		n.touch()
 	}
 	g.bump()
 }
@@ -432,6 +446,7 @@ func (g *Graph) InsertBranchAtLeaf(leaf *Vertex, cj *ir.Op, tSucc, fSucc *Node) 
 	if n := leaf.node; n != nil {
 		n.branchCount++
 		n.noteOpAdded(cj)
+		n.touch()
 	}
 	g.bump()
 	return t, f
@@ -467,6 +482,7 @@ func (g *Graph) DetachBranchRoot(n *Node) (cj *ir.Op, rootOps []*ir.Op, trueSub,
 	if g.PredEdgeCount(n) != 0 {
 		panic("graph: DetachBranchRoot with live predecessors")
 	}
+	n.touch()
 	delete(g.nodes, n)
 	g.bump()
 	return cj, rootOps, trueSub, falseSub
@@ -508,6 +524,7 @@ func (g *Graph) AdoptSubtree(n *Node, sub *Vertex) {
 	adopt(sub)
 	n.opCount = ops
 	n.branchCount = branches
+	n.touch()
 	// A subtree detached by DetachBranchRoot lost the ancestors its
 	// path-prefix summaries were built over; rebuild the whole adopted
 	// tree bottom-up.
@@ -560,6 +577,7 @@ func (g *Graph) SpliceOutEmpty(n *Node) bool {
 		g.Entry = succ
 	}
 	g.RetargetLeaf(leaf, nil)
+	n.touch()
 	delete(g.nodes, n)
 	g.bump()
 	return true

@@ -44,6 +44,11 @@ type Node struct {
 	preds edgeSet
 	succs edgeSet
 
+	// stamp is the node's touch stamp (see Stamp), advanced by every
+	// mutator that changes the node's ops, operands, tree, edges or
+	// position. It shares a word with orderIdx, so Node does not grow.
+	stamp uint32
+
 	// orderIdx/orderStamp cache the node's position in the graph's
 	// reverse-postorder; valid when orderStamp matches the graph's
 	// current order version (Graph.Index).
@@ -61,6 +66,17 @@ type Node struct {
 	// queried against a graph it was never part of.
 	g *Graph
 }
+
+// Stamp returns the node's touch stamp. It changes whenever a Graph
+// mutator changes the node's ops, their operands, its instruction tree,
+// its incoming or outgoing edges, or its position key — so a verdict
+// derived only from the states of a few nodes (its footprint) stays
+// exact for as long as their stamps are unchanged, however much the
+// rest of the graph moves. Stamps are per node: compare them only
+// together with the node's identity.
+func (n *Node) Stamp() uint32 { return n.stamp }
+
+func (n *Node) touch() { n.stamp++ }
 
 // Pos returns the node's order-maintenance key. Larger means later on
 // the main chain. Keys of drain nodes are not meaningful.

@@ -385,6 +385,7 @@ func (g *Graph) noteOperandsChanged(op *ir.Op) {
 	if v := g.loc(op); v != nil {
 		v.recomputeOwn()
 		resummarize(v)
+		v.node.touch()
 		g.bump()
 	}
 }
