@@ -1,12 +1,12 @@
 // Command gripc schedules a loop described in the textir format with
 // any registered technique and reports the pipelined kernel, its rate,
 // and the speedup, optionally printing the full schedule. Several
-// machine widths can be compared in one run; -parallel schedules them
-// concurrently through the batch engine.
+// machine widths can be compared in one run; every width runs through
+// the batch engine, -parallel of them at a time.
 //
 // Usage:
 //
-//	go run ./cmd/gripc -fus 4 [-technique grip|post|modulo|list] [-print] < loop.txt
+//	go run ./cmd/gripc -fus 4 [-technique grip|post|modulo|list] [-print] [-no-opt] < loop.txt
 //	go run ./cmd/gripc -fus 2,4,8 -technique grip -parallel 4 < loop.txt
 package main
 
@@ -22,7 +22,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/pipeline"
-	"repro/internal/post"
 	"repro/internal/sched"
 	"repro/internal/sched/batch"
 	"repro/internal/textir"
@@ -32,15 +31,14 @@ func main() {
 	fusFlag := flag.String("fus", "4", "functional units (comma-separated list compares widths)")
 	technique := flag.String("technique", "grip",
 		fmt.Sprintf("scheduling technique (registered: %s)", strings.Join(sched.Names(), ", ")))
-	schedAlias := flag.String("scheduler", "", "alias for -technique (kept for compatibility)")
 	printRows := flag.Bool("print", false, "print the scheduled rows (grip and post only)")
 	noOpt := flag.Bool("no-opt", false, "disable redundant-operation removal (grip and post only)")
 	unwind := flag.Int("unwind", 0, "fix the unwind factor (0 = automatic ladder); joins the cache key")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker count when comparing several widths (batch path only; -print/-no-opt runs are sequential)")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count when comparing several widths")
 	cacheDir := flag.String("cache-dir", "",
 		"persistent result-cache directory shared with cmd/table1; widths already scheduled\n"+
-			"by any process are served from disk (batch path only)")
+			"by any process are served from disk (-print always reschedules: the disk tier\n"+
+			"holds metrics, not schedules)")
 	flag.Parse()
 
 	if *cacheDir != "" {
@@ -51,21 +49,14 @@ func main() {
 	}
 
 	tech := *technique
-	if *schedAlias != "" {
-		techniqueSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "technique" {
-				techniqueSet = true
-			}
-		})
-		if techniqueSet && *schedAlias != *technique {
-			fmt.Fprintf(os.Stderr, "-technique %q and -scheduler %q conflict; pass one\n", *technique, *schedAlias)
-			os.Exit(2)
-		}
-		tech = *schedAlias
-	}
 	if _, ok := sched.Lookup(tech); !ok {
 		fmt.Fprintf(os.Stderr, "unknown technique %q (registered: %s)\n", tech, strings.Join(sched.Names(), ", "))
+		os.Exit(2)
+	}
+	// -print renders the raw pipeline schedule and -no-opt is a
+	// pipelining knob; the single-iteration baselines have neither.
+	if (*printRows || *noOpt) && tech != "grip" && tech != "post" {
+		fmt.Fprintf(os.Stderr, "-print/-no-opt support only grip and post (got %q)\n", tech)
 		os.Exit(2)
 	}
 
@@ -82,24 +73,14 @@ func main() {
 	}
 	fmt.Printf("loop %s: %d ops/iteration sequential\n", spec.Name, spec.SeqOpsPerIter())
 
-	// The detailed path supports -print and -no-opt, which need
-	// technique-specific configuration and the raw schedule; it runs
-	// each requested width in turn so the flags are never silently
-	// ignored.
-	if *printRows || *noOpt {
-		for _, f := range fus {
-			if err := detailed(spec, tech, f, *unwind, *printRows, *noOpt); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		return
+	cfg := sched.Config{Unwind: *unwind, NoOptimize: *noOpt}
+	want := sched.WantMetrics
+	if *printRows {
+		want = sched.WantRaw
 	}
-
-	cfg := sched.Config{Unwind: *unwind}
 	var jobs []batch.Job
 	for _, f := range fus {
-		jobs = append(jobs, batch.Job{Technique: tech, Spec: spec, Machine: machine.New(f), Config: cfg})
+		jobs = append(jobs, batch.Job{Technique: tech, Spec: spec, Machine: machine.New(f), Config: cfg, Want: want})
 	}
 	// The shared cache carries the tiered store: in-memory always, plus
 	// the -cache-dir disk tier so widths scheduled by earlier processes
@@ -122,43 +103,25 @@ func main() {
 		}
 		fmt.Printf("%2dFU %s: %.3f cycles/iteration, speedup %.2f, converged=%v%s\n",
 			o.Job.Machine.OpSlots, r.Technique, r.CyclesPerIter, r.Speedup, r.Converged, kernel)
+		if *printRows {
+			printSchedule(spec, r.Raw().(*pipeline.Result))
+		}
 	}
 }
 
-// detailed reproduces the original single-run report with the full
-// schedule and optimization toggle.
-func detailed(spec *ir.LoopSpec, tech string, fus, unwind int, printRows, noOpt bool) error {
-	m := machine.New(fus)
-	cfg := pipeline.DefaultConfig(m)
-	cfg.Optimize = !noOpt
-	cfg.Unwind = unwind
-	var res *pipeline.Result
-	var err error
-	switch tech {
-	case "grip":
-		res, err = pipeline.PerfectPipeline(context.Background(), spec, cfg)
-	case "post":
-		res, err = post.Pipeline(context.Background(), spec, cfg)
-	default:
-		return fmt.Errorf("-print/-no-opt support only grip and post (got %q)", tech)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s @%dFU: converged=%v kernel=%v\n", tech, fus, res.Converged, res.Kernel)
-	fmt.Printf("rate: %.3f cycles/iteration, speedup %.2f (unwound %d iterations, %d removed ops)\n",
-		res.CyclesPerIter, res.Speedup, res.U, res.Unwound.Removed())
-	if printRows {
-		name := func(origin int) string {
-			if origin == len(spec.Body) {
-				return "+"
-			}
-			if origin == len(spec.Body)+1 {
-				return "cj"
-			}
-			return fmt.Sprintf("o%d.", origin)
+// printSchedule prints a grip or post schedule row by row, ops tagged
+// by their source-body position ("+" the counter increment, "cj" the
+// loop's conditional jump).
+func printSchedule(spec *ir.LoopSpec, res *pipeline.Result) {
+	fmt.Printf("unwound %d iterations, %d removed ops\n", res.U, res.Unwound.Removed())
+	name := func(origin int) string {
+		switch origin {
+		case len(spec.Body):
+			return "+"
+		case len(spec.Body) + 1:
+			return "cj"
 		}
-		fmt.Print(harness.FigureRows(res.Unwound.G, name, 0))
+		return fmt.Sprintf("o%d.", origin)
 	}
-	return nil
+	fmt.Print(harness.FigureRows(res.Unwound.G, name, 0))
 }

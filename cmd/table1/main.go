@@ -17,7 +17,7 @@
 // is written through to disk, and a later process serves it from there
 // — a warm rerun schedules nothing. -cache-clear wipes that tier
 // before running (refusing directories not shaped like a store); cache
-// statistics — hits, misses, quarantined panics, disk footprint,
+// statistics — memory and disk hits, computed cells, quarantined panics, disk footprint,
 // rejected entries and write/read errors — print to stderr at exit.
 //
 // -chaos runs the matrix under a fault schedule (injected backend
@@ -282,7 +282,7 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d cells, %.1fs wall)\n", *benchOut, len(outcomes), elapsed.Seconds())
 	}
-	printCacheStats(opts.Cache.Stats(), disk != nil)
+	printCacheStats(batch.Summarize(outcomes), disk)
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, runErr)
 		return 1
@@ -309,26 +309,27 @@ func run() int {
 	return 0
 }
 
-// printCacheStats reports the tiered cache's traffic at exit: where
-// hits came from, how much was computed, and — when a disk tier is
-// attached — what the persistent tier now holds and which of its
-// operations failed.
-func printCacheStats(st batch.CacheStats, diskAttached bool) {
-	fmt.Fprintf(os.Stderr, "cache: %d memory hits, %d disk hits, %d misses",
-		st.MemoryHits, st.DiskHits, st.Misses)
+// printCacheStats reports at exit how the run's cells were served —
+// memory hits, disk hits, computed — and, when a disk tier is attached,
+// what the persistent tier now holds and which of its operations
+// failed.
+func printCacheStats(st batch.Stats, disk *store.Disk) {
+	fmt.Fprintf(os.Stderr, "cache: %d memory hits, %d disk hits, %d computed",
+		st.MemoryHits, st.DiskHits, st.Computed)
 	if st.Quarantined > 0 {
 		fmt.Fprintf(os.Stderr, ", %d quarantined panics", st.Quarantined)
 	}
-	if diskAttached {
-		fmt.Fprintf(os.Stderr, "; disk tier: %d entries, %d bytes", st.Disk.Entries, st.Disk.Bytes)
-		if st.Disk.Rejected > 0 {
-			fmt.Fprintf(os.Stderr, ", %d rejected (corrupt/stale, recomputed)", st.Disk.Rejected)
+	if disk != nil {
+		ds := disk.Stats()
+		fmt.Fprintf(os.Stderr, "; disk tier: %d entries, %d bytes", ds.Entries, ds.Bytes)
+		if ds.Rejected > 0 {
+			fmt.Fprintf(os.Stderr, ", %d rejected (corrupt/stale, recomputed)", ds.Rejected)
 		}
-		if st.Disk.WriteErrors > 0 {
-			fmt.Fprintf(os.Stderr, ", %d write errors", st.Disk.WriteErrors)
+		if ds.WriteErrors > 0 {
+			fmt.Fprintf(os.Stderr, ", %d write errors", ds.WriteErrors)
 		}
-		if st.Disk.ReadErrors > 0 {
-			fmt.Fprintf(os.Stderr, ", %d read errors", st.Disk.ReadErrors)
+		if ds.ReadErrors > 0 {
+			fmt.Fprintf(os.Stderr, ", %d read errors", ds.ReadErrors)
 		}
 	}
 	fmt.Fprintln(os.Stderr)
@@ -369,7 +370,7 @@ func runChaos(kernels []*livermore.Kernel, fus []int, techniques []string, seed 
 		}
 	}
 	fmt.Printf("chaos recovery: %d/%d failed cells recomputed clean with faults disabled\n", recovered, len(rep.Recovered))
-	printCacheStats(rep.Cache, rep.Disk != nil)
+	printCacheStats(rep.Stats, rep.Disk)
 
 	if benchOut != "" {
 		if err := writeBench(benchOut, survivors, parallel, elapsed); err != nil {
@@ -482,7 +483,7 @@ func runSweep(kernels []*livermore.Kernel, fus []int, techniques []string, varia
 				r := o.Result
 				fmt.Printf("%s,%s,%d,%s,%.3f,%v,%v,%.3f\n",
 					strings.ReplaceAll(v.label, " ", ";"), o.Job.DisplayName(), o.Job.Machine.OpSlots, o.Job.Technique,
-					r.Speedup, r.Converged, o.CacheHit, float64(o.Wall.Microseconds())/1000)
+					r.Speedup, r.Converged, o.Tier != batch.TierCompute, float64(o.Wall.Microseconds())/1000)
 			}
 			continue
 		}

@@ -88,7 +88,7 @@ func main() {
 		if o.Err != nil {
 			log.Fatal(o.Err)
 		}
-		fmt.Printf("  unwind=%-3d speedup %.2f converged=%-5v cacheHit=%v\n",
-			unwind, o.Result.Speedup, o.Result.Converged, o.CacheHit)
+		fmt.Printf("  unwind=%-3d speedup %.2f converged=%-5v tier=%v\n",
+			unwind, o.Result.Speedup, o.Result.Converged, o.Tier)
 	}
 }

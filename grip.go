@@ -161,14 +161,13 @@ type BatchJob = batch.Job
 type BatchOutcome = batch.Outcome
 
 // BatchOptions tune a batch run: worker parallelism, per-job timeout,
-// and an optional shared result cache with single-flight dedup.
+// and an optional shared result cache.
 type BatchOptions = batch.Options
 
-// BatchCache is the thread-safe tiered result store keyed by
+// BatchCache is the read-through/write-through result store keyed by
 // (technique, loop fingerprint, machine fingerprint, config
-// fingerprint): an in-memory metrics tier plus a capped raw tier,
-// optionally backed by a persistent on-disk tier (AttachDisk),
-// deduplicating identical in-flight computations.
+// fingerprint): an in-memory metrics tier plus a capped raw tier, safe
+// to share across concurrent Batch runs.
 type BatchCache = batch.Cache
 
 // Schedulers lists the registered scheduling techniques ("grip",
@@ -194,10 +193,10 @@ func ScheduleRequest(ctx context.Context, name string, req SchedRequest) (*Sched
 
 // Batch executes scheduling jobs concurrently through the registry:
 // a worker pool with context cancellation, per-job timeouts that
-// actually stop the scheduling work, and an optional LRU result cache
-// with single-flight dedup. Outcomes are returned in job order and are
-// bit-identical to a sequential run — every technique is a pure
-// function of (loop, machine, configuration).
+// actually stop the scheduling work, and an optional LRU result cache.
+// Outcomes are returned in job order and are bit-identical to a
+// sequential run — every technique is a pure function of (loop,
+// machine, configuration).
 func Batch(ctx context.Context, jobs []BatchJob, opts BatchOptions) ([]BatchOutcome, error) {
 	return batch.Run(ctx, jobs, opts)
 }

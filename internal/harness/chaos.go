@@ -108,10 +108,8 @@ type ChaosReport struct {
 	// every poisoned or cut cell must compute cleanly afterwards,
 	// because errors are never cached.
 	Recovered []batch.Outcome
-	// Stats summarizes the main pass; Cache is the tiered cache's
-	// traffic and per-tier counters after all passes.
+	// Stats summarizes the main pass.
 	Stats batch.Stats
-	Cache batch.CacheStats
 	// Plan exposes per-site hit/fire counters for assertions.
 	Plan *faults.Plan
 	// Disk is the persistent tier, nil when DiskDir was empty.
@@ -131,8 +129,11 @@ func (r *ChaosReport) Survivors() []batch.Outcome {
 }
 
 // ChaosTable runs the technique matrix under a seeded fault schedule —
-// the fault-tolerance acceptance mode. Three passes against one fresh
-// tiered cache (never the process-wide shared cache):
+// the fault-tolerance acceptance mode. With a disk tier and a read
+// fault, a few entries are first written fault-free through a separate
+// cache (see seedJobs), so the injected read errors meet real entries.
+// Then three passes run against one fresh tiered cache (never the
+// process-wide shared cache):
 //
 //  1. a cancellation storm: a seeded fraction of the jobs under a tiny
 //     per-job timeout, so cells are genuinely cancelled mid-compute;
@@ -158,20 +159,8 @@ func ChaosTable(ctx context.Context, kernels []*livermore.Kernel, fus []int, tec
 		}
 	}
 
-	cache := batch.NewCache(8192)
-	if o.DiskDir != "" {
-		disk, err := store.OpenDisk(o.DiskDir)
-		if err != nil {
-			return nil, err
-		}
-		rep.Disk = disk
-		cache.AttachDisk(disk)
-	}
-
-	faults.Enable(rep.Plan)
-	defer faults.Disable()
-
-	// Pass 1: cancellation storm over a seeded subset.
+	// The storm subset is drawn first: the disk seeding below depends
+	// on which jobs read the disk tier first.
 	rng := rand.New(rand.NewSource(o.Seed))
 	var storm []batch.Job
 	for _, j := range jobs {
@@ -179,6 +168,29 @@ func ChaosTable(ctx context.Context, kernels []*livermore.Kernel, fus []int, tec
 			storm = append(storm, j)
 		}
 	}
+
+	cache := batch.NewCache(sharedCacheCapacity)
+	if o.DiskDir != "" {
+		disk, err := store.OpenDisk(o.DiskDir)
+		if err != nil {
+			return nil, err
+		}
+		rep.Disk = disk
+		cache = batch.NewTieredCache(sharedCacheCapacity, 0, disk)
+		if o.ReadFailEvery > 0 {
+			seed := batch.NewTieredCache(sharedCacheCapacity, 0, disk)
+			workers := batch.EffectiveParallelism(o.Parallelism, len(jobs))
+			if _, err := batch.Run(ctx, seedJobs(storm, jobs, o.ReadFailEvery+workers-1),
+				batch.Options{Parallelism: o.Parallelism, Cache: seed}); err != nil {
+				return rep, err
+			}
+		}
+	}
+
+	faults.Enable(rep.Plan)
+	defer faults.Disable()
+
+	// Pass 1: cancellation storm over the subset drawn above.
 	if len(storm) > 0 {
 		outs, err := batch.Run(ctx, storm, batch.Options{
 			Parallelism: o.Parallelism, Timeout: o.CancelTimeout, Cache: cache})
@@ -194,7 +206,6 @@ func ChaosTable(ctx context.Context, kernels []*livermore.Kernel, fus []int, tec
 	rep.Outcomes = outs
 	rep.Stats = batch.Summarize(outs)
 	if err != nil {
-		rep.Cache = cache.Stats()
 		return rep, err
 	}
 
@@ -210,10 +221,30 @@ func ChaosTable(ctx context.Context, kernels []*livermore.Kernel, fus []int, tec
 		rec, err := batch.Run(ctx, failed, batch.Options{Parallelism: o.Parallelism, Cache: cache})
 		rep.Recovered = rec
 		if err != nil {
-			rep.Cache = cache.Stats()
 			return rep, err
 		}
 	}
-	rep.Cache = cache.Stats()
 	return rep, nil
+}
+
+// seedJobs returns the jobs whose disk entries ChaosTable writes before
+// the storm: the first n of each pass's job list (duplicates dropped).
+// The storm and main passes count disk reads in one sequence, and with
+// n = ReadFailEvery+workers-1 the first injected read lands on one of
+// them, whichever pass makes it: workers take jobs in list order, so
+// when the k-th read of a pass happens at most workers-1 later jobs
+// have been taken, and jobs served from memory only move the bound
+// down. That read then finds a real entry, so ReadErrors counts it.
+func seedJobs(storm, jobs []batch.Job, n int) []batch.Job {
+	seen := make(map[string]bool)
+	var seed []batch.Job
+	for _, pass := range [][]batch.Job{storm, jobs} {
+		for _, j := range pass[:min(n, len(pass))] {
+			if k := j.Key(); !seen[k] {
+				seen[k] = true
+				seed = append(seed, j)
+			}
+		}
+	}
+	return seed
 }

@@ -89,19 +89,25 @@ func TestChaosTableSurvivorsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chaos run cut short: %v", err)
 	}
+	disk := rep.Disk.Stats()
 	t.Logf("chaos: %+v; fires: compute=%d write=%d read=%d; disk: %+v",
-		rep.Stats, rep.Plan.Fires(faults.BatchCompute), rep.Plan.Fires(faults.DiskWrite), rep.Plan.Fires(faults.DiskRead), rep.Cache.Disk)
+		rep.Stats, rep.Plan.Fires(faults.BatchCompute), rep.Plan.Fires(faults.DiskWrite), rep.Plan.Fires(faults.DiskRead), disk)
 
 	if rep.Stats.Jobs != len(kernels)*len(fus)*len(Table1Techniques) {
 		t.Fatalf("main pass ran %d jobs, want %d", rep.Stats.Jobs, len(kernels)*len(fus)*len(Table1Techniques))
 	}
 	// The schedule must actually have hurt: injected panics quarantined,
-	// injected compute and write faults fired.
-	if rep.Stats.Quarantined == 0 || rep.Cache.Quarantined == 0 {
-		t.Errorf("no quarantined cells (stats %d, cache %d) — panic injection never bit", rep.Stats.Quarantined, rep.Cache.Quarantined)
+	// injected compute and write faults fired, and an injected read
+	// fault met a real entry (the seeded ones) rather than a not-exist
+	// miss.
+	if rep.Stats.Quarantined == 0 {
+		t.Error("no quarantined cells — panic injection never bit")
 	}
 	if rep.Plan.Fires(faults.BatchCompute) == 0 || rep.Plan.Fires(faults.DiskWrite) == 0 {
 		t.Error("fault plan never fired on a required site")
+	}
+	if disk.ReadErrors == 0 {
+		t.Error("injected read faults left no ReadErrors trace — no read fault met an entry")
 	}
 	if !testing.Short() {
 		if batch.Summarize(rep.CancelOutcomes).Cancelled == 0 {
@@ -122,7 +128,6 @@ func TestChaosTableSurvivorsBitIdentical(t *testing.T) {
 	// sees to that), and each successful compute makes one Put, so the
 	// tier holds an entry — possibly torn — for every key whose write
 	// was not failed.
-	disk := rep.Cache.Disk
 	if disk.WriteErrors == 0 {
 		t.Error("injected write failures left no WriteErrors trace")
 	}
@@ -152,7 +157,7 @@ func TestChaosNoFaultsAllSurvive(t *testing.T) {
 	if rep.Plan.TotalFires() != 0 {
 		t.Errorf("empty schedule fired %d faults", rep.Plan.TotalFires())
 	}
-	if disk := rep.Cache.Disk; disk.WriteErrors != 0 || disk.ReadErrors != 0 || disk.Entries != distinctKeys(rep.Outcomes) {
+	if disk := rep.Disk.Stats(); disk.WriteErrors != 0 || disk.ReadErrors != 0 || disk.Entries != distinctKeys(rep.Outcomes) {
 		t.Errorf("healthy run: disk tier %+v, want one entry per key and no errors", disk)
 	}
 	assertCellsMatchBaseline(t, "cell", baselineIndex(t), rep.Outcomes)

@@ -34,22 +34,26 @@ import (
 // comparable values, so the metrics tier is sized to retain every
 // fingerprint a process plausibly touches (full tables, sweeps over
 // many configurations); raw scheduled graphs — megabytes each, wanted
-// only by validation and figure paths — live in the store's capped
+// only by validation and figure paths — live in the cache's capped
 // raw tier and are recomputed when evicted.
-var defaultCache = batch.NewCache(8192)
+var defaultCache = batch.NewCache(sharedCacheCapacity)
+
+// sharedCacheCapacity is the metrics-tier size of the process-wide
+// cache and of the chaos run's private one.
+const sharedCacheCapacity = 8192
 
 // SharedCache returns the process-wide result cache the harness runs
 // against; commands can pass it to their own batch runs to share work
 // with table runs.
 func SharedCache() *batch.Cache { return defaultCache }
 
-// EnableDiskCache attaches a persistent metrics tier rooted at dir to
-// the process-wide shared cache, making table and bench runs
-// incremental across processes: every computed cell is written through
-// to disk, and a later process serves it from there without
-// scheduling anything. Call it during command setup, before batch
-// traffic. It returns the store so commands can report its stats or
-// clear it.
+// EnableDiskCache replaces the process-wide shared cache with one
+// backed by a persistent metrics tier rooted at dir, making table and
+// bench runs incremental across processes: every computed cell is
+// written through to disk, and a later process serves it from there
+// without scheduling anything. Call it during command setup, before
+// any batch traffic. It returns the store so commands can report its
+// stats or clear it.
 //
 // The store is opened durable (fsync before and after the publishing
 // rename): -cache-dir runs are exactly the cross-process reuse case
@@ -59,7 +63,7 @@ func EnableDiskCache(dir string) (*store.Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-	defaultCache.AttachDisk(d)
+	defaultCache = batch.NewTieredCache(sharedCacheCapacity, 0, d)
 	return d, nil
 }
 
@@ -168,19 +172,6 @@ func ValidateCell(k *livermore.Kernel, fus int, cfg sched.Config) error {
 	u := int64(res.U)
 	trips := []int64{k.Spec.Start + 1, k.Spec.Start + u/3, k.Spec.Start + u}
 	return pipeline.ValidateSemantics(res, k.Vars, k.Arrays(res.U+16), trips)
-}
-
-// RunTable1 reproduces Table 1 for the given kernels and FU counts with
-// the default batch options (GOMAXPROCS workers, shared cache).
-func RunTable1(kernels []*livermore.Kernel, fus []int) (*Table, error) {
-	t, _, err := RunTable1Ctx(context.Background(), kernels, fus, batch.Options{})
-	return t, err
-}
-
-// RunTable1Ctx reproduces the paper's Table 1 (grip vs post, paper
-// defaults) through the batch engine; see RunTable.
-func RunTable1Ctx(ctx context.Context, kernels []*livermore.Kernel, fus []int, opts batch.Options) (*Table, []batch.Outcome, error) {
-	return RunTable(ctx, kernels, fus, Table1Techniques, sched.Config{}, opts)
 }
 
 // RunTable runs a technique-comparison table through the batch engine:

@@ -23,7 +23,7 @@ func TestTable1ShapeProperties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table in -short mode")
 	}
-	tbl, err := RunTable1(livermore.All(), []int{2, 4, 8})
+	tbl, _, err := RunTable(context.Background(), livermore.All(), []int{2, 4, 8}, Table1Techniques, sched.Config{}, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAlgorithmVersionPinsTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table in -short mode")
 	}
-	_, outs, err := RunTable1Ctx(context.Background(), livermore.All(), []int{2, 4, 8}, batch.Options{})
+	_, outs, err := RunTable(context.Background(), livermore.All(), []int{2, 4, 8}, Table1Techniques, sched.Config{}, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +134,12 @@ func TestParallelTableBitIdentical(t *testing.T) {
 		livermore.ByName("LL1"), livermore.ByName("LL3"), livermore.ByName("LL5"),
 	}
 	fus := []int{2, 4}
-	par, _, err := RunTable1Ctx(context.Background(), kernels, fus,
+	par, _, err := RunTable(context.Background(), kernels, fus, Table1Techniques, sched.Config{},
 		batch.Options{Parallelism: 4, Cache: batch.NewCache(64)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := RunTable1Ctx(context.Background(), kernels, fus,
+	seq, _, err := RunTable(context.Background(), kernels, fus, Table1Techniques, sched.Config{},
 		batch.Options{Parallelism: 1, Cache: batch.NewCache(64)})
 	if err != nil {
 		t.Fatal(err)
@@ -160,20 +160,20 @@ func TestSharedCacheMakesRerunsFree(t *testing.T) {
 	kernels := []*livermore.Kernel{livermore.ByName("LL3")}
 	cache := batch.NewCache(64)
 	opts := batch.Options{Cache: cache}
-	first, _, err := RunTable1Ctx(context.Background(), kernels, []int{2}, opts)
+	first, _, err := RunTable(context.Background(), kernels, []int{2}, Table1Techniques, sched.Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, outs, err := RunTable1Ctx(context.Background(), kernels, []int{2}, opts)
+	_, outs, err := RunTable(context.Background(), kernels, []int{2}, Table1Techniques, sched.Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range outs {
-		if !o.CacheHit {
-			t.Errorf("%s %s: rerun missed the cache", o.Job.Technique, o.Job.DisplayName())
+		if o.Tier != batch.TierMemory {
+			t.Errorf("%s %s: rerun served from %v, want memory", o.Job.Technique, o.Job.DisplayName(), o.Tier)
 		}
 	}
-	second, _, err := RunTable1Ctx(context.Background(), kernels, []int{2}, opts)
+	second, _, err := RunTable(context.Background(), kernels, []int{2}, Table1Techniques, sched.Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,22 +237,22 @@ func TestTableConfigSweepDistinctCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outs[0].CacheHit {
-		t.Error("fresh configured run hit the cache")
+	if outs[0].Tier != batch.TierCompute {
+		t.Errorf("fresh configured run served from %v, want compute", outs[0].Tier)
 	}
 	_, outs, err = RunTable(context.Background(), kernels, []int{2}, []string{"grip"}, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !outs[0].CacheHit {
-		t.Error("identical configured rerun missed the cache")
+	if outs[0].Tier != batch.TierMemory {
+		t.Errorf("identical configured rerun served from %v, want memory", outs[0].Tier)
 	}
 	_, outs, err = RunTable(context.Background(), kernels, []int{2}, []string{"grip"}, sched.Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outs[0].CacheHit {
-		t.Error("default-config run shared the configured run's cache entry")
+	if outs[0].Tier != batch.TierCompute {
+		t.Errorf("default-config run served from %v: it shared the configured run's cache entry", outs[0].Tier)
 	}
 }
 

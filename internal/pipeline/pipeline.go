@@ -166,24 +166,33 @@ func pipelineOnce(ctx context.Context, spec *ir.LoopSpec, cfg Config, u int) (*R
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Spec: spec, U: u, Stats: stats, Unwound: uw, Rows: len(g.MainChain())}
-	periods := cfg.Periods
+	res := &Result{Spec: spec, U: u, Stats: stats, Unwound: uw}
+	res.Measure(cfg.Periods)
+	return res, nil
+}
+
+// Measure fills the result's schedule measurements — Rows, Converged,
+// Kernel, CyclesPerIter, Speedup — from its unwound graph: the kernel
+// when a pattern repeats for periods periods (0 means DefaultPeriods),
+// otherwise the mid-schedule rate, otherwise rows per iteration.
+func (r *Result) Measure(periods int) {
+	g := r.Unwound.G
+	r.Rows = len(g.MainChain())
 	if periods == 0 {
 		periods = DefaultPeriods
 	}
 	if k, ok := DetectPattern(g, periods); ok {
-		res.Converged = true
-		res.Kernel = k
-		res.CyclesPerIter = k.CyclesPerIter()
-	} else if rate, ok := MeasuredRate(g, u/4, 3*u/4); ok {
-		res.CyclesPerIter = rate
+		r.Converged = true
+		r.Kernel = k
+		r.CyclesPerIter = k.CyclesPerIter()
+	} else if rate, ok := MeasuredRate(g, r.U/4, 3*r.U/4); ok {
+		r.CyclesPerIter = rate
 	} else {
-		res.CyclesPerIter = float64(res.Rows) / float64(u)
+		r.CyclesPerIter = float64(r.Rows) / float64(r.U)
 	}
-	if res.CyclesPerIter > 0 {
-		res.Speedup = float64(spec.SeqOpsPerIter()) / res.CyclesPerIter
+	if r.CyclesPerIter > 0 {
+		r.Speedup = float64(r.Spec.SeqOpsPerIter()) / r.CyclesPerIter
 	}
-	return res, nil
 }
 
 // SimplePipeline implements the paper's "simple software pipelining"

@@ -88,23 +88,7 @@ func From(ctx context.Context, res *pipeline.Result, cfg pipeline.Config) (*pipe
 
 	// Re-measure the post-pass schedule.
 	out := &pipeline.Result{Spec: spec, U: res.U, Stats: res.Stats, Unwound: uw}
-	out.Rows = len(g.MainChain())
-	periods := cfg.Periods
-	if periods == 0 {
-		periods = 3
-	}
-	if k, ok := pipeline.DetectPattern(g, periods); ok {
-		out.Converged = true
-		out.Kernel = k
-		out.CyclesPerIter = k.CyclesPerIter()
-	} else if rate, ok := pipeline.MeasuredRate(g, res.U/4, 3*res.U/4); ok {
-		out.CyclesPerIter = rate
-	} else {
-		out.CyclesPerIter = float64(out.Rows) / float64(res.U)
-	}
-	if out.CyclesPerIter > 0 {
-		out.Speedup = float64(spec.SeqOpsPerIter()) / out.CyclesPerIter
-	}
+	out.Measure(cfg.Periods)
 	return out, nil
 }
 

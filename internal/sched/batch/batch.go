@@ -1,11 +1,11 @@
 // Package batch executes scheduling jobs against the sched registry
 // concurrently: a worker pool with configurable parallelism, context
-// cancellation, per-job timeouts, and a tiered result store (memory →
-// optional disk → compute; see internal/sched/store) with single-flight
-// dedup keyed by a canonical fingerprint of (technique, loop spec,
-// machine, configuration), so repeated cells — bench reruns, Table 1
-// summary recomputations, validation passes, config sweeps — cost
-// nothing, across processes once a disk tier is attached.
+// cancellation, per-job timeouts, and a read-through/write-through
+// result cache (memory → optional disk → compute; see Cache) keyed by
+// a canonical fingerprint of (technique, loop spec, machine,
+// configuration), so repeated cells — bench reruns, Table 1 summary
+// recomputations, validation passes, config sweeps — cost nothing,
+// across processes once a disk tier is attached.
 package batch
 
 import (
@@ -79,14 +79,11 @@ type Outcome struct {
 	Job    Job
 	Result *sched.Result
 	Err    error
-	// Wall is the time this job spent computing; zero when the result
-	// came from the cache or from another job's shared in-flight
-	// computation (CacheHit true).
-	Wall     time.Duration
-	CacheHit bool
+	// Wall is the time this job spent computing; zero when a cache
+	// tier served the result.
+	Wall time.Duration
 	// Tier reports which store tier served the result: TierCompute when
-	// this job ran the scheduler (CacheHit false), TierMemory/TierDisk/
-	// TierFlight otherwise.
+	// this job ran the scheduler, TierMemory or TierDisk otherwise.
 	Tier Tier
 }
 
@@ -94,9 +91,8 @@ type Outcome struct {
 type Options struct {
 	// Parallelism is the worker count; 0 means GOMAXPROCS.
 	Parallelism int
-	// Timeout bounds each job's wall time — computing, or waiting on
-	// another job's shared in-flight computation; 0 means no limit. A
-	// job that exceeds it fails with context.DeadlineExceeded. Backends
+	// Timeout bounds each job's wall time; 0 means no limit. A job
+	// that exceeds it fails with context.DeadlineExceeded. Backends
 	// observe the deadline through the context threaded into their step
 	// loops, so the computation itself stops — nothing is abandoned to
 	// burn CPU in the background. (A backend that never checks its
@@ -105,9 +101,6 @@ type Options struct {
 	Timeout time.Duration
 	// Cache, when set, is consulted before running a job and updated
 	// after a success. Callers can share one cache across batches.
-	// Identical in-flight jobs (same fingerprint key) share one
-	// computation — single-flight dedup — so submitting duplicates is
-	// merely redundant, not wasteful.
 	Cache *Cache
 }
 
@@ -180,8 +173,6 @@ func runOne(ctx context.Context, j Job, opts Options, cut *atomic.Bool) Outcome 
 		out.Err = err
 		return out
 	}
-	// The per-job budget covers everything below: computing, and
-	// waiting on another job's shared in-flight computation.
 	runCtx := ctx
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -191,9 +182,7 @@ func runOne(ctx context.Context, j Job, opts Options, cut *atomic.Bool) Outcome 
 	// The compute closure is the panic-isolation perimeter: a backend
 	// panic is recovered into a typed *sched.PanicError carrying the
 	// job key and stack, so one poisoned cell fails alone — the worker
-	// goroutine survives, the rest of the batch proceeds, and (through
-	// the cache) single-flight waiters receive the error instead of
-	// waiting on a flight that will never retire.
+	// goroutine survives and the rest of the batch proceeds.
 	compute := func() (res *sched.Result, err error) {
 		defer func() {
 			if v := recover(); v != nil {
@@ -211,13 +200,11 @@ func runOne(ctx context.Context, j Job, opts Options, cut *atomic.Bool) Outcome 
 	}
 	start := time.Now()
 	if opts.Cache != nil {
-		out.Result, out.Tier, out.Err = opts.Cache.GetOrCompute(runCtx, j.Key(), j.Want, compute)
-		out.CacheHit = out.Tier != TierCompute
-		if !out.CacheHit {
-			out.Wall = time.Since(start)
-		}
+		out.Result, out.Tier, out.Err = opts.Cache.getOrCompute(j.Key(), j.Want, compute)
 	} else {
 		out.Result, out.Err = compute()
+	}
+	if out.Tier == TierCompute {
 		out.Wall = time.Since(start)
 	}
 	out.Err = mapErr(ctx, runCtx, j, out.Err, cut)

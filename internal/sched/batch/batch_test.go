@@ -38,12 +38,17 @@ type stubScheduler struct {
 	calls     atomic.Int64
 	cancelled atomic.Int64  // completions due to ctx, not the gate
 	gate      chan struct{} // nil = return immediately
+	// arrived, when set, sees the call count after each call starts.
+	arrived func(calls int64)
 }
 
 func (s *stubScheduler) Name() string { return s.name }
 
 func (s *stubScheduler) Schedule(ctx context.Context, req sched.Request) (*sched.Result, error) {
-	s.calls.Add(1)
+	calls := s.calls.Add(1)
+	if s.arrived != nil {
+		s.arrived(calls)
+	}
 	if s.gate != nil {
 		select {
 		case <-s.gate:
@@ -58,11 +63,13 @@ func (s *stubScheduler) Schedule(ctx context.Context, req sched.Request) (*sched
 var registerOnce sync.Once
 var countStub = &stubScheduler{name: "test-count"}
 var blockStub = &stubScheduler{name: "test-block", gate: make(chan struct{})}
+var dupStub = &stubScheduler{name: "test-duplicate"}
 
 func stubs() {
 	registerOnce.Do(func() {
 		sched.Register(countStub)
 		sched.Register(blockStub)
+		sched.Register(dupStub)
 	})
 }
 
@@ -120,31 +127,32 @@ func TestCacheHitMiss(t *testing.T) {
 	if err != nil || outs[0].Err != nil {
 		t.Fatalf("first run: %v %v", err, outs[0].Err)
 	}
-	if outs[0].CacheHit {
-		t.Error("first run reported a cache hit")
+	if outs[0].Tier != batch.TierCompute {
+		t.Errorf("first run served from %v, want compute", outs[0].Tier)
 	}
+	all := outs
 	outs, err = batch.Run(context.Background(), []batch.Job{job, job}, batch.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, o := range outs {
-		if !o.CacheHit {
-			t.Errorf("rerun job %d missed the cache", i)
+		if o.Tier != batch.TierMemory {
+			t.Errorf("rerun job %d served from %v, want memory", i, o.Tier)
 		}
 	}
 	if got := countStub.calls.Load(); got != 1 {
 		t.Errorf("scheduler ran %d times; cache should have held it to 1", got)
 	}
-	if st := cache.Stats(); st.MemoryHits != 2 || st.Misses != 1 {
-		t.Errorf("cache stats hits=%d misses=%d, want 2/1", st.MemoryHits, st.Misses)
+	if st := batch.Summarize(append(all, outs...)); st.MemoryHits != 2 || st.Computed != 1 {
+		t.Errorf("summary memory hits=%d computed=%d, want 2/1", st.MemoryHits, st.Computed)
 	}
 
 	// A different machine is a different key.
 	other := job
 	other.Machine = machine.New(4)
 	outs, _ = batch.Run(context.Background(), []batch.Job{other}, batch.Options{Cache: cache})
-	if outs[0].CacheHit {
-		t.Error("different machine hit the cache")
+	if outs[0].Tier != batch.TierCompute {
+		t.Errorf("different machine served from %v, want compute", outs[0].Tier)
 	}
 	if got := countStub.calls.Load(); got != 2 {
 		t.Errorf("scheduler ran %d times, want 2", got)
@@ -152,22 +160,30 @@ func TestCacheHitMiss(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
+	stubs()
 	c := batch.NewCache(2)
-	r := sched.NewResult(sched.Metrics{}, nil)
-	c.Put("a", r)
-	c.Put("b", r)
-	if _, ok := c.Get("a"); !ok { // refresh a
-		t.Fatal("a missing")
+	job := func(name string) batch.Job {
+		return batch.Job{Technique: "test-count", Spec: tinyLoop(name), Machine: machine.New(2)}
 	}
-	c.Put("c", r) // evicts b
-	if _, ok := c.Get("b"); ok {
-		t.Error("b survived eviction")
+	tier := func(name string) batch.Tier {
+		t.Helper()
+		outs, err := batch.Run(context.Background(), []batch.Job{job(name)}, batch.Options{Cache: c})
+		if err != nil || outs[0].Err != nil {
+			t.Fatalf("%s: %v %v", name, err, outs[0].Err)
+		}
+		return outs[0].Tier
 	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("a was evicted despite recent use")
+	tier("a")
+	tier("b")
+	if got := tier("a"); got != batch.TierMemory { // refresh a
+		t.Fatalf("a served from %v, want memory", got)
 	}
-	if _, ok := c.Get("c"); !ok {
-		t.Error("c missing")
+	tier("c") // evicts b
+	if got := tier("a"); got != batch.TierMemory {
+		t.Errorf("a served from %v despite recent use, want memory", got)
+	}
+	if got := tier("b"); got != batch.TierCompute { // evicts c
+		t.Errorf("b served from %v after eviction, want compute", got)
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
@@ -226,8 +242,8 @@ func TestConfigCachesIndependently(t *testing.T) {
 		if o.Err != nil {
 			t.Fatalf("job %d: %v", i, o.Err)
 		}
-		if o.CacheHit {
-			t.Errorf("job %d: first run hit the cache; configs are not distinct entries", i)
+		if o.Tier != batch.TierCompute {
+			t.Errorf("job %d: first run served from %v; configs are not distinct entries", i, o.Tier)
 		}
 	}
 	if cache.Len() != 2 {
@@ -238,8 +254,8 @@ func TestConfigCachesIndependently(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, o := range second {
-		if !o.CacheHit {
-			t.Errorf("job %d: rerun with identical config missed the cache", i)
+		if o.Tier != batch.TierMemory {
+			t.Errorf("job %d: rerun with identical config served from %v, want memory", i, o.Tier)
 		}
 		// Metrics move through the cache by value, so reruns compare by
 		// content, not pointer identity — no caller aliases another's
@@ -352,89 +368,60 @@ func TestTimeoutStopsRealScheduler(t *testing.T) {
 	}
 }
 
-// TestSingleFlightDedup submits one job four times concurrently against
-// a shared cache: single-flight must collapse them to exactly one
-// scheduler call, with every outcome getting the shared result.
-func TestSingleFlightDedup(t *testing.T) {
+// TestDuplicateJobsEachCompute submits one job four times at
+// Parallelism 4. The cache does not coordinate concurrent misses, so
+// all four compute — the stub holds each until all have arrived, which
+// would hang a cache that made duplicates wait — and each returns the
+// same metrics. A rerun is then served from memory. Wall is nonzero
+// exactly for the outcomes that computed.
+func TestDuplicateJobsEachCompute(t *testing.T) {
+	testutil.LeakCheck(t)
 	stubs()
-	flightStub := &stubScheduler{name: "test-flight", gate: make(chan struct{})}
-	sched.Register(flightStub)
+	const n = 4
+	dup := dupStub
+	dup.calls.Store(0)
+	dup.gate = make(chan struct{})
+	dup.arrived = func(calls int64) {
+		if calls == n {
+			close(dup.gate)
+		}
+	}
 	cache := batch.NewCache(8)
-	job := batch.Job{Technique: "test-flight", Spec: tinyLoop("dedup"), Machine: machine.New(2)}
+	job := batch.Job{Technique: "test-duplicate", Spec: tinyLoop("dup"), Machine: machine.New(2)}
 	jobs := []batch.Job{job, job, job, job}
-	go func() {
-		// Let the batch wedge on the leader's computation, then release.
-		time.Sleep(20 * time.Millisecond)
-		close(flightStub.gate)
-	}()
-	outs, err := batch.Run(context.Background(), jobs, batch.Options{Parallelism: 4, Cache: cache})
+	opts := batch.Options{Parallelism: n, Timeout: 10 * time.Second, Cache: cache}
+	first, err := batch.Run(context.Background(), jobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaders := 0
-	for i, o := range outs {
+	for i, o := range first {
 		if o.Err != nil {
 			t.Fatalf("job %d: %v", i, o.Err)
 		}
-		if o.Result != outs[0].Result {
-			t.Errorf("job %d: got a different result pointer; computation not shared", i)
+		if o.Tier != batch.TierCompute {
+			t.Errorf("job %d served from %v, want compute", i, o.Tier)
 		}
-		if !o.CacheHit {
-			leaders++
+		if o.Result.Metrics != first[0].Result.Metrics {
+			t.Errorf("job %d metrics %+v differ from job 0's %+v", i, o.Result.Metrics, first[0].Result.Metrics)
 		}
 	}
-	if got := flightStub.calls.Load(); got != 1 {
-		t.Errorf("scheduler ran %d times for 4 identical in-flight jobs, want 1", got)
+	if got := dup.calls.Load(); got != n {
+		t.Errorf("scheduler ran %d times, want %d", got, n)
 	}
-	if leaders != 1 {
-		t.Errorf("%d outcomes report CacheHit=false, want exactly the leader", leaders)
-	}
-	if st := cache.Stats(); st.MemoryHits != 3 || st.Misses != 1 {
-		t.Errorf("cache stats hits=%d misses=%d, want 3/1", st.MemoryHits, st.Misses)
-	}
-}
-
-// TestSingleFlightLeaderTimeoutNotShared: a leader cancelled by its own
-// per-job timeout must not poison a later-arriving duplicate — the
-// waiter retries within its own remaining budget. (The budget covers
-// waiting too: a duplicate submitted at the same instant as the leader
-// deadlines alongside it rather than getting a fresh allowance.)
-func TestSingleFlightLeaderTimeoutNotShared(t *testing.T) {
-	stubs()
-	slowStub := &stubScheduler{name: "test-slow-leader", gate: make(chan struct{})}
-	sched.Register(slowStub)
-	cache := batch.NewCache(8)
-	job := batch.Job{Technique: "test-slow-leader", Spec: tinyLoop("retry"), Machine: machine.New(2)}
-	opts := batch.Options{Timeout: 400 * time.Millisecond, Cache: cache}
-
-	// Timeline: the leader starts at 0 and deadlines at 400ms; the
-	// follower starts at 200 (budget until 600), joins the leader's
-	// flight, sees it fail at 400, retries, and the gate opens at 500 —
-	// inside the follower's remaining budget.
-	go func() {
-		time.Sleep(500 * time.Millisecond)
-		close(slowStub.gate)
-	}()
-	leaderDone := make(chan batch.Outcome, 1)
-	go func() {
-		outs, _ := batch.Run(context.Background(), []batch.Job{job}, opts)
-		leaderDone <- outs[0]
-	}()
-	time.Sleep(200 * time.Millisecond)
-	outs, err := batch.Run(context.Background(), []batch.Job{job}, opts)
+	second, err := batch.Run(context.Background(), jobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader := <-leaderDone
-	if !errors.Is(leader.Err, context.DeadlineExceeded) {
-		t.Errorf("leader err = %v, want DeadlineExceeded", leader.Err)
+	for i, o := range append(first, second...) {
+		if o.Err != nil {
+			t.Fatalf("outcome %d: %v", i, o.Err)
+		}
+		if (o.Wall != 0) != (o.Tier == batch.TierCompute) {
+			t.Errorf("outcome %d: tier %v with wall %v", i, o.Tier, o.Wall)
+		}
 	}
-	if outs[0].Err != nil || outs[0].Result == nil {
-		t.Errorf("follower did not recover from the leader's timeout: res=%v err=%v",
-			outs[0].Result, outs[0].Err)
-	}
-	if got := slowStub.calls.Load(); got != 2 {
-		t.Errorf("scheduler calls = %d, want 2 (leader + retrying follower)", got)
+	if st := batch.Summarize(second); st.MemoryHits != n {
+		t.Errorf("rerun summary %+v, want %d memory hits", st, n)
 	}
 }
 
@@ -530,7 +517,7 @@ func TestDiskTierServesSecondCache(t *testing.T) {
 		if o.Err != nil {
 			t.Fatalf("warm job %d: %v", i, o.Err)
 		}
-		if o.Tier != batch.TierDisk || !o.CacheHit {
+		if o.Tier != batch.TierDisk {
 			t.Errorf("warm job %d served by %v, want disk", i, o.Tier)
 		}
 		if o.Result.Metrics != first[i].Result.Metrics {
@@ -549,12 +536,11 @@ func TestDiskTierServesSecondCache(t *testing.T) {
 			t.Errorf("rerun job %d served by %v, want memory (disk hit not promoted)", i, o.Tier)
 		}
 	}
-	st := warm.Stats()
-	if st.DiskHits != 4 || st.MemoryHits != 4 || st.Misses != 0 {
-		t.Errorf("warm cache stats %+v, want 4 disk / 4 memory / 0 misses", st)
+	if st := batch.Summarize(append(second, third...)); st.DiskHits != 4 || st.MemoryHits != 4 || st.Computed != 0 {
+		t.Errorf("warm summary %+v, want 4 disk / 4 memory / 0 computed", st)
 	}
-	if st.Disk.Entries != 4 || st.Disk.Bytes <= 0 {
-		t.Errorf("disk footprint %+v, want 4 entries, >0 bytes", st.Disk)
+	if st := disk2.Stats(); st.Entries != 4 || st.Bytes <= 0 {
+		t.Errorf("disk footprint %+v, want 4 entries, >0 bytes", st)
 	}
 }
 
@@ -616,8 +602,12 @@ func TestCorruptDiskEntryRecomputesWithoutPoisoning(t *testing.T) {
 		t.Errorf("healed entry served from %v, want disk", again[0].Tier)
 	}
 	// The memory tier of the recomputing cache holds the good value.
-	if res, ok := fresh.Get(job.Key()); !ok || res.Metrics != first[0].Result.Metrics {
-		t.Error("memory tier poisoned or empty after corrupt-entry recompute")
+	mem, err := batch.Run(context.Background(), []batch.Job{job}, batch.Options{Cache: fresh})
+	if err != nil || mem[0].Err != nil {
+		t.Fatal(err, mem[0].Err)
+	}
+	if mem[0].Tier != batch.TierMemory || mem[0].Result.Metrics != first[0].Result.Metrics {
+		t.Errorf("memory tier poisoned or empty after corrupt-entry recompute: %v %+v", mem[0].Tier, mem[0].Result.Metrics)
 	}
 	if disk.Stats().Rejected == 0 {
 		t.Error("corrupt entry not counted as rejected")
@@ -692,6 +682,41 @@ func TestWantRawServedOnlyWithAttachment(t *testing.T) {
 	}
 	if got := cache.Len(); got != 5 {
 		t.Errorf("metrics tier holds %d entries, want all 5", got)
+	}
+}
+
+// TestMemoryTiers: the raw tier is capped independently of the metrics
+// tier, and evicting an attachment never drops its metrics.
+func TestMemoryTiers(t *testing.T) {
+	cache := batch.NewTieredCache(128, 2, nil)
+	mk := func(name string, want sched.Want) batch.Job {
+		return batch.Job{Technique: "grip", Spec: tinyLoop(name), Machine: machine.New(2), Want: want}
+	}
+	tier := func(j batch.Job) batch.Tier {
+		t.Helper()
+		outs, err := batch.Run(context.Background(), []batch.Job{j}, batch.Options{Cache: cache})
+		if err != nil || outs[0].Err != nil {
+			t.Fatalf("%s: %v %v", j.Spec.Name, err, outs[0].Err)
+		}
+		return outs[0].Tier
+	}
+	for i := 0; i < 5; i++ {
+		tier(mk(fmt.Sprintf("r%d", i), sched.WantRaw))
+	}
+	if cache.Len() != 5 {
+		t.Errorf("metrics tier holds %d entries, want all 5", cache.Len())
+	}
+	if cache.RawLen() != 2 {
+		t.Errorf("raw tier holds %d entries, want the cap (2)", cache.RawLen())
+	}
+	if got := tier(mk("r0", sched.WantMetrics)); got != batch.TierMemory {
+		t.Errorf("r0 metrics served from %v: the metrics tier lost an entry because the raw tier evicted", got)
+	}
+	if got := tier(mk("r4", sched.WantRaw)); got != batch.TierMemory {
+		t.Errorf("r4 raw served from %v: the raw tier lost its most recent entry", got)
+	}
+	if got := tier(mk("r0", sched.WantRaw)); got != batch.TierCompute {
+		t.Errorf("r0 raw served from %v: the raw tier retained an entry beyond its cap", got)
 	}
 }
 

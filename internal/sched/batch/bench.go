@@ -24,12 +24,13 @@ type BenchCell struct {
 	Speedup   float64 `json:"speedup"`
 	Converged bool    `json:"converged"`
 	WallMS    float64 `json:"wall_ms"`
-	CacheHit  bool    `json:"cache_hit"`
-	// Tier names the store tier that served a cache hit ("memory",
-	// "disk", "flight"); empty for computed cells and for reports
-	// written before the store was tiered.
-	Tier  string `json:"tier,omitempty"`
-	Error string `json:"error,omitempty"`
+	// CacheHit and Tier both derive from Outcome.Tier: Tier names the
+	// store tier that served a cache hit ("memory" or "disk"), empty
+	// for computed cells and for reports written before the store was
+	// tiered.
+	CacheHit bool   `json:"cache_hit"`
+	Tier     string `json:"tier,omitempty"`
+	Error    string `json:"error,omitempty"`
 }
 
 // BenchReport is the JSON document future PRs compare against.
@@ -52,9 +53,9 @@ func NewBenchReport(outcomes []Outcome, parallelism int, totalWall time.Duration
 			Loop:      o.Job.DisplayName(),
 			Technique: o.Job.Technique,
 			WallMS:    float64(o.Wall.Microseconds()) / 1000,
-			CacheHit:  o.CacheHit,
+			CacheHit:  o.Tier != TierCompute,
 		}
-		if o.CacheHit {
+		if cell.CacheHit {
 			cell.Tier = o.Tier.String()
 		}
 		if o.Job.Config != (sched.Config{}) {

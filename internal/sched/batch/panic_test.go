@@ -40,8 +40,8 @@ func panicStubs() {
 }
 
 // TestPanicIsolatedPerJob: a panicking backend fails its own cell with
-// a typed *sched.PanicError and takes nothing else down — no cache in
-// the loop, so this exercises runOne's own recovery perimeter.
+// a typed *sched.PanicError and takes nothing else down. runOne's
+// recovery is the engine's one panic perimeter, cache or no cache.
 func TestPanicIsolatedPerJob(t *testing.T) {
 	testutil.LeakCheck(t)
 	panicStubs()
@@ -71,12 +71,12 @@ func TestPanicIsolatedPerJob(t *testing.T) {
 	}
 }
 
-// TestSingleFlightPanicPropagation: concurrent requests for one
-// poisoned key all receive a *sched.PanicError — the leader's flight
-// retires instead of stranding its waiters, each waiter retries into
-// its own leadership and its own panic, and nothing hangs. Once the
-// backend heals, the next request recomputes: errors are never cached.
-func TestSingleFlightPanicPropagation(t *testing.T) {
+// TestDuplicatePanicsQuarantinedPerJob: concurrent requests for one
+// poisoned key each run the backend, and each receives its own
+// *sched.PanicError — nothing hangs and no job inherits another's
+// failure. Once the backend heals, the next request recomputes: errors
+// are never cached.
+func TestDuplicatePanicsQuarantinedPerJob(t *testing.T) {
 	testutil.LeakCheck(t)
 	panicStubs()
 	panicker.armed.Store(true)
@@ -89,6 +89,7 @@ func TestSingleFlightPanicPropagation(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = job
 	}
+	before := panicker.calls.Load()
 	outs, err := batch.Run(context.Background(), jobs, batch.Options{Parallelism: n, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -96,60 +97,38 @@ func TestSingleFlightPanicPropagation(t *testing.T) {
 	for i, o := range outs {
 		var pe *sched.PanicError
 		if !errors.As(o.Err, &pe) {
-			t.Fatalf("waiter %d got %v, want *sched.PanicError", i, o.Err)
+			t.Fatalf("job %d got %v, want *sched.PanicError", i, o.Err)
 		}
 		if pe.Key != job.Key() {
-			t.Errorf("waiter %d: PanicError.Key = %q, want %q", i, pe.Key, job.Key())
+			t.Errorf("job %d: PanicError.Key = %q, want %q", i, pe.Key, job.Key())
 		}
 		if len(pe.Stack) == 0 {
-			t.Errorf("waiter %d: empty panic stack", i)
+			t.Errorf("job %d: empty panic stack", i)
 		}
-	}
-	st := cache.Stats()
-	if st.Quarantined != n {
-		t.Errorf("cache quarantined %d computations, want %d (every caller retried into its own panic)", st.Quarantined, n)
 	}
 	if got := batch.Summarize(outs); got.Quarantined != n || got.Failed != n {
 		t.Errorf("Summarize = %+v, want %d quarantined failures", got, n)
 	}
+	if got := panicker.calls.Load() - before; got != n {
+		t.Errorf("backend ran %d times, want %d (every job computes its own failure)", got, n)
+	}
+	if cache.Len() != 0 {
+		t.Errorf("cache holds %d entries after only failures, want 0", cache.Len())
+	}
 
 	// Heal the backend: the same key recomputes — the panic was not
-	// cached as a result, and the flight table holds no tombstone.
+	// cached as a result.
 	panicker.armed.Store(false)
-	before := panicker.calls.Load()
+	before = panicker.calls.Load()
 	outs, err = batch.Run(context.Background(), jobs[:1], batch.Options{Cache: cache})
 	if err != nil || outs[0].Err != nil {
 		t.Fatalf("healed rerun failed: %v / %v", err, outs[0].Err)
 	}
-	if outs[0].CacheHit {
-		t.Error("healed rerun was served from cache — a failure got cached")
+	if outs[0].Tier != batch.TierCompute {
+		t.Errorf("healed rerun was served from %v — a failure got cached", outs[0].Tier)
 	}
 	if panicker.calls.Load() != before+1 {
 		t.Errorf("healed rerun made %d backend calls, want 1", panicker.calls.Load()-before)
-	}
-}
-
-// TestGetOrComputeDirectPanic: callers that bypass the batch engine and
-// hit the cache directly are still inside a recovery perimeter
-// (safeCompute), so a panicking compute callback comes back as a typed
-// error, not a crash.
-func TestGetOrComputeDirectPanic(t *testing.T) {
-	testutil.LeakCheck(t)
-	cache := batch.NewCache(8)
-	res, tier, err := cache.GetOrCompute(context.Background(), "direct-key", sched.WantMetrics,
-		func() (*sched.Result, error) { panic("direct compute panic") })
-	if res != nil || tier != batch.TierCompute {
-		t.Fatalf("got res=%v tier=%v, want nil/compute", res, tier)
-	}
-	var pe *sched.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("got %v, want *sched.PanicError", err)
-	}
-	if pe.Key != "direct-key" || pe.Value != "direct compute panic" {
-		t.Errorf("PanicError carries %q/%v", pe.Key, pe.Value)
-	}
-	if got := cache.Stats().Quarantined; got != 1 {
-		t.Errorf("Quarantined = %d, want 1", got)
 	}
 }
 
@@ -157,13 +136,12 @@ func TestGetOrComputeDirectPanic(t *testing.T) {
 // panics, cancellations, plain failures, and the serving-tier split.
 func TestSummarizeClassifiesErrors(t *testing.T) {
 	mk := func(tier batch.Tier) batch.Outcome {
-		return batch.Outcome{Result: &sched.Result{}, Tier: tier, CacheHit: tier != batch.TierCompute}
+		return batch.Outcome{Result: &sched.Result{}, Tier: tier}
 	}
 	outs := []batch.Outcome{
 		mk(batch.TierCompute),
 		mk(batch.TierMemory),
 		mk(batch.TierDisk),
-		mk(batch.TierFlight),
 		{Err: &sched.PanicError{Key: "k", Value: "v"}},
 		{Err: context.Canceled},
 		{Err: context.DeadlineExceeded},
@@ -171,9 +149,9 @@ func TestSummarizeClassifiesErrors(t *testing.T) {
 	}
 	got := batch.Summarize(outs)
 	want := batch.Stats{
-		Jobs: 8, Succeeded: 4, Failed: 4,
+		Jobs: 7, Succeeded: 3, Failed: 4,
 		Quarantined: 1, Cancelled: 2,
-		Computed: 1, MemoryHits: 1, DiskHits: 1, FlightShares: 1,
+		Computed: 1, MemoryHits: 1, DiskHits: 1,
 	}
 	if got != want {
 		t.Errorf("Summarize = %+v, want %+v", got, want)

@@ -23,7 +23,7 @@ type Stats struct {
 	// deadlines — cells cut short, not cells that computed wrongly.
 	Cancelled int
 	// Serving-tier breakdown of the successes.
-	Computed, MemoryHits, DiskHits, FlightShares int
+	Computed, MemoryHits, DiskHits int
 }
 
 // Summarize folds the outcomes of one (or more, by appending) batch
@@ -49,8 +49,6 @@ func Summarize(outs []Outcome) Stats {
 			st.MemoryHits++
 		case TierDisk:
 			st.DiskHits++
-		case TierFlight:
-			st.FlightShares++
 		default:
 			st.Computed++
 		}

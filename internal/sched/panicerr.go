@@ -2,10 +2,9 @@ package sched
 
 import "fmt"
 
-// PanicError is a backend panic recovered by the execution engine
-// (batch workers and the cache's compute path): the poisoned cell fails
-// alone with a typed, diagnosable error instead of killing the whole
-// batch run or deadlocking single-flight waiters. Like every other
+// PanicError is a backend panic recovered by the batch engine's
+// workers: the poisoned cell fails alone with a typed, diagnosable
+// error instead of killing the whole batch run. Like every other
 // compute error it is never cached — a later request for the same key
 // recomputes.
 type PanicError struct {

@@ -66,7 +66,7 @@ type Disk struct {
 	logMu  sync.Mutex
 	logged map[string]bool
 
-	hits, misses, rejected, writeErrs, readErrs atomic.Uint64
+	rejected, writeErrs, readErrs atomic.Uint64
 }
 
 // OpenDisk opens (creating if needed) the on-disk store rooted at dir,
@@ -107,7 +107,6 @@ func (d *Disk) Get(key string) (sched.Metrics, bool) {
 		err = ferr
 	}
 	if err != nil {
-		d.misses.Add(1)
 		// Not-exist is a plain miss; anything else (permission, I/O) is
 		// a device failure — still a miss for the caller (the compute
 		// path is always available), but counted and logged.
@@ -121,10 +120,8 @@ func (d *Disk) Get(key string) (sched.Metrics, bool) {
 	if err := json.Unmarshal(data, &e); err != nil ||
 		e.Schema != sched.MetricsVersion || e.Key != key {
 		d.rejected.Add(1)
-		d.misses.Add(1)
 		return sched.Metrics{}, false
 	}
-	d.hits.Add(1)
 	return e.Metrics, true
 }
 
@@ -307,8 +304,6 @@ func CheckStoreShape(dir string) error {
 // true to what is actually on disk.
 func (d *Disk) Stats() Stats {
 	st := Stats{
-		Hits:        d.hits.Load(),
-		Misses:      d.misses.Load(),
 		Rejected:    d.rejected.Load(),
 		WriteErrors: d.writeErrs.Load(),
 		ReadErrors:  d.readErrs.Load(),
